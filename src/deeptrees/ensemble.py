@@ -8,7 +8,8 @@ of a single hard label.
 """
 
 import hashlib
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -67,6 +68,23 @@ def _break_tie(tied_labels, tie_rule, tie_seed, x):
     raise ValueError(f"unknown tie rule {tie_rule!r}")
 
 
+def resolve_votes(classes, counts, tie_rule, tie_seed, X) -> np.ndarray:
+    """Majority label of each row of an (m, n_classes) vote-count matrix.
+
+    classes must be ascending, so the first maximum of a row is its lowest
+    tied label; only rows with several maxima go to the tie rule, which
+    keys seeded ties by the matching row of X. A class nobody voted for
+    never changes the result.
+    """
+    classes = np.asarray(classes, dtype=np.int64)
+    best = counts.max(axis=1, keepdims=True)
+    out = classes[np.argmax(counts, axis=1)]
+    at_best = counts == best
+    for r in np.flatnonzero(at_best.sum(axis=1) > 1):
+        out[r] = _break_tie(classes[at_best[r]], tie_rule, tie_seed, X[r])
+    return out
+
+
 @dataclass(frozen=True)
 class Forest:
     """Majority vote over member trees.
@@ -80,6 +98,8 @@ class Forest:
     tie_rule: str = TIE_NEGATIVE
     tie_seed: Optional[int] = None
     ambient_dim: Optional[int] = None
+    # largest feature any member reads; a narrower input row is rejected
+    max_feature: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
@@ -90,28 +110,32 @@ class Forest:
         if self.ambient_dim is not None:
             for tree in self.trees:
                 _require_budget(tree, self.ambient_dim, "forest member")
+        object.__setattr__(self, "max_feature", max(max_feature(t) for t in self.trees))
 
     def member_predictions(self, X) -> np.ndarray:
         """(n_trees, m) label matrix."""
         return np.stack([evaluate_batch(tree, X) for tree in self.trees])
 
     def predict(self, x) -> int:
-        return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
+        """Vote of the members, each routing the single row to one leaf."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1:
+            raise ValueError("expected a 1-d input row")
+        if self.max_feature > x.shape[0]:
+            raise FeatureOutOfRange(
+                f"forest reads feature {self.max_feature} but input has width {x.shape[0]}"
+            )
+        votes = Counter(evaluate(tree, x) for tree in self.trees)
+        classes = sorted(votes)
+        counts = np.array([[votes[c] for c in classes]])
+        return int(resolve_votes(classes, counts, self.tie_rule, self.tie_seed, x[None, :])[0])
 
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         votes = self.member_predictions(X)
         classes = np.unique(votes)
         counts = np.stack([(votes == c).sum(axis=0) for c in classes], axis=1)
-        best = counts.max(axis=1)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for r in range(X.shape[0]):
-            tied = classes[counts[r] == best[r]]
-            if len(tied) == 1:
-                out[r] = tied[0]
-            else:
-                out[r] = _break_tie(tied, self.tie_rule, self.tie_seed, X[r])
-        return out
+        return resolve_votes(classes, counts, self.tie_rule, self.tie_seed, X)
 
     def vote_fractions(self, X, classes) -> np.ndarray:
         """(m, n_classes) fraction of member votes per class, in class order."""

@@ -22,10 +22,12 @@ from .analysis import (
 )
 from .construct import build_parity_deeptree, compile_report, compile_to_deeptree
 from .data_io import BUILTIN_MANIFESTS, SimulationSpec, fetch_dataset, generate_simulation
-from .ensemble import Forest, model_dim, predict_batch, total_leaves
+from .ensemble import TIE_NEGATIVE, Forest, model_dim, predict_batch, resolve_votes, total_leaves
 from .lattice import LatticeSpace, ParityConcept, ProductDistribution, UniformDistribution
 from .learn import (
     TrainConfig,
+    depth_labels,
+    depth_leaf_counts,
     to_params,
     train_cascade,
     train_forest_grown,
@@ -34,7 +36,7 @@ from .learn import (
     truncate_depth,
 )
 from .rng import generator
-from .tree import Leaf, Node, Region, tree_labels
+from .tree import Leaf, Node, Region, dim_from_leaves, evaluate_batch, leaf_count, tree_labels
 
 SIM_MODELS_DEFAULT = ("T", "DT-2", "DT-3", "DT-4", "RF-9", "RF-19", "RF-29")
 
@@ -92,6 +94,10 @@ class ExperimentConfig:
         ):
             if not getattr(self, grid_name):
                 raise ValueError(f"{grid_name} must be a nonempty grid")
+        if min(self.sim_depths) < 0:
+            raise ValueError("sim_depths must be >= 0")
+        if min(self.uci_rf_widths) < 1:
+            raise ValueError("uci_rf_widths must be >= 1")
 
     @property
     def sample_count(self) -> int:
@@ -213,15 +219,15 @@ def _accuracy_pair(model, data) -> tuple[float, float]:
     )
 
 
-def _sim_row(cfg, subject, model_name, depth, model, elapsed, data) -> dict:
-    train_acc, test_acc = _accuracy_pair(model, data)
+def _sim_row(cfg, subject, model_name, depth, leaves, dim, accuracies, elapsed) -> dict:
+    train_acc, test_acc = accuracies
     return {
         "experiment": "sim",
         "subject": subject,
         "model": model_name,
         "setting": f"depth={depth}",
-        "total_leaves": total_leaves(model),
-        "dim": model_dim(model),
+        "total_leaves": leaves,
+        "dim": dim,
         "train_accuracy": train_acc,
         "test_accuracy": test_acc,
         "wall_time": round(elapsed, 6),
@@ -229,14 +235,64 @@ def _sim_row(cfg, subject, model_name, depth, model, elapsed, data) -> dict:
     }
 
 
+def _add_votes(counts, labels, classes):
+    """Fold one member's labels into vote counts whose first axis follows classes."""
+    for c, label in enumerate(classes):
+        counts[c] += labels == label
+
+
+def _vote_accuracy(classes, counts, X, y) -> float:
+    """Accuracy of the default-rule majority vote over (n_classes, m) counts."""
+    return float(np.mean(resolve_votes(classes, counts.T, TIE_NEGATIVE, None, X) == y))
+
+
+def _budget_rows(cfg, subject, model_name, members, data, depths, grow_time) -> list:
+    """Rows of the majority vote over grown trees at every depth budget.
+
+    Each member is walked once per split by depth_labels and its label
+    matrix folded into per-budget class counts straight away, so one
+    member matrix is alive at a time; each budget's vote is then resolved
+    once. The deepest cell carries grow_time plus the scoring of all
+    budgets, the other cells 0.
+    """
+    start = time.perf_counter()
+    deepest = max(depths)
+    classes = np.unique(data.train_y)  # every grown label is a training label
+    member_leaves = np.array([depth_leaf_counts(g, deepest) for g in members])
+    leaves = member_leaves.sum(axis=0)
+    dims = dim_from_leaves(member_leaves).sum(axis=0)
+    accuracy = []  # per split, depth -> accuracy
+    for X, y in ((data.train_X, data.train_y), (data.test_X, data.test_y)):
+        counts = np.zeros((len(classes), deepest + 1, len(X)), dtype=np.int64)
+        for grown in members:
+            _add_votes(counts, depth_labels(grown, X, deepest), classes)
+        accuracy.append(
+            {depth: _vote_accuracy(classes, counts[:, depth], X, y) for depth in set(depths)}
+        )
+    train_accuracy, test_accuracy = accuracy
+    elapsed = grow_time + time.perf_counter() - start
+    return [
+        _sim_row(
+            cfg, subject, model_name, depth, int(leaves[depth]), int(dims[depth]),
+            (train_accuracy[depth], test_accuracy[depth]), elapsed if depth == deepest else 0.0,
+        )
+        for depth in depths
+    ]
+
+
 def run_simulation(cfg: ExperimentConfig) -> list:
     """Sweep (model kind, max depth) cells over the synthetic parity data.
 
-    Depth cells of a single greedy tree reuse one grown run via depth
-    truncation, which produces exactly the tree a fresh run with that
-    max_depth trains; forests reuse per-member grown runs the same way.
-    Cascade layers past the first are retrained per depth because their
-    inputs include the previous layer's predictions at that depth.
+    A single greedy tree (T) and each forest member (RF-N) are grown once
+    at the deepest budget. Truncating a grown tree to depth d gives exactly
+    the tree a fresh run with that max_depth trains, so one walk of each
+    grown tree per split scores every depth at once (depth_labels), and
+    the leaf counts of every depth come from depth_leaf_counts. On T and
+    RF rows the deepest cell's wall_time carries the growth plus the
+    scoring of all depths, and the other cells carry 0. Cascade layers
+    past the first are retrained per depth because their inputs include
+    the previous layer's predictions at that depth; a DT row's wall_time
+    is that training alone.
     """
     rows = []
     depths = sorted(cfg.sim_depths)
@@ -253,13 +309,9 @@ def run_simulation(cfg: ExperimentConfig) -> list:
         tree_grow_time = time.perf_counter() - start
         for model_name in cfg.sim_models:
             if model_name == "T":
-                for depth in depths:
-                    start = time.perf_counter()
-                    model = truncate_depth(tree_grown, depth)
-                    elapsed = time.perf_counter() - start + (
-                        tree_grow_time if depth == deepest else 0.0
-                    )
-                    rows.append(_sim_row(cfg, subject, model_name, depth, model, elapsed, data))
+                rows += _budget_rows(
+                    cfg, subject, model_name, (tree_grown,), data, depths, tree_grow_time
+                )
             elif model_name.startswith("RF-"):
                 width = int(model_name.split("-", 1)[1])
                 forest_cfg = TrainConfig(
@@ -269,13 +321,7 @@ def run_simulation(cfg: ExperimentConfig) -> list:
                 start = time.perf_counter()
                 members = train_forest_grown(data.train_X, data.train_y, forest_cfg)
                 grow_time = time.perf_counter() - start
-                for depth in depths:
-                    start = time.perf_counter()
-                    forest = Forest(tuple(truncate_depth(g, depth) for g in members))
-                    elapsed = time.perf_counter() - start + (
-                        grow_time if depth == deepest else 0.0
-                    )
-                    rows.append(_sim_row(cfg, subject, model_name, depth, forest, elapsed, data))
+                rows += _budget_rows(cfg, subject, model_name, members, data, depths, grow_time)
             elif model_name.startswith("DT-"):
                 cascade_depth = int(model_name.split("-", 1)[1])
                 for depth in depths:
@@ -287,7 +333,12 @@ def run_simulation(cfg: ExperimentConfig) -> list:
                     first = truncate_depth(tree_grown, depth)
                     model = train_cascade(data.train_X, data.train_y, cascade_cfg, first_layer=first)
                     elapsed = time.perf_counter() - start
-                    rows.append(_sim_row(cfg, subject, model_name, depth, model, elapsed, data))
+                    rows.append(
+                        _sim_row(
+                            cfg, subject, model_name, depth, total_leaves(model),
+                            model_dim(model), _accuracy_pair(model, data), elapsed,
+                        )
+                    )
             else:
                 raise ValueError(f"unknown simulation model {model_name!r}")
     return rows
@@ -640,18 +691,29 @@ def run_uci(cfg: ExperimentConfig) -> list:
             )
             start = time.perf_counter()
             grown = train_forest_grown(data.train_X, data.train_y, rf_cfg)
-            members = [to_params(g) for g in grown]
-            grow_time = time.perf_counter() - start
+            # member t depends only on (seed, t), so the first `width`
+            # members are the forest trained with n_trees=width: every
+            # width is read off one pass of running vote counts
+            classes = np.unique(data.train_y)
+            splits = ((data.train_X, data.train_y), (data.test_X, data.test_y))
+            counts = [np.zeros((len(classes), len(X)), dtype=np.int64) for X, _ in splits]
+            leaves = dim = 0
+            prefixes = {}
+            for t, g in enumerate(grown, start=1):
+                member = to_params(g)
+                for (X, _), split_counts in zip(splits, counts):
+                    _add_votes(split_counts, evaluate_batch(member, X), classes)
+                member_leaves = leaf_count(member)
+                leaves += member_leaves
+                dim += dim_from_leaves(member_leaves)
+                if t in cfg.uci_rf_widths:
+                    prefixes[t] = (leaves, dim, tuple(
+                        _vote_accuracy(classes, split_counts, X, y)
+                        for (X, y), split_counts in zip(splits, counts)
+                    ))
+            elapsed = time.perf_counter() - start
             for width in cfg.uci_rf_widths:
-                start = time.perf_counter()
-                # member t depends only on (seed, t), so the prefix slice
-                # equals a forest trained with n_trees=width
-                forest = Forest(tuple(members[:width]))
-                train_pred = forest.predict_batch(data.train_X)
-                test_pred = forest.predict_batch(data.test_X)
-                elapsed = time.perf_counter() - start + (
-                    grow_time if width == max(cfg.uci_rf_widths) else 0.0
-                )
+                leaves, dim, (train_acc, test_acc) = prefixes[width]
                 rows.append(
                     {
                         "experiment": "uci",
@@ -660,11 +722,11 @@ def run_uci(cfg: ExperimentConfig) -> list:
                         "tree_size": size,
                         "width": width,
                         "total_trees": width,
-                        "total_leaves": total_leaves(forest),
-                        "dim": model_dim(forest),
-                        "train_accuracy": float(np.mean(train_pred == data.train_y)),
-                        "test_accuracy": float(np.mean(test_pred == data.test_y)),
-                        "wall_time": round(elapsed, 6),
+                        "total_leaves": leaves,
+                        "dim": dim,
+                        "train_accuracy": train_acc,
+                        "test_accuracy": test_acc,
+                        "wall_time": round(elapsed if width == max(cfg.uci_rf_widths) else 0.0, 6),
                         "seed": cfg.seed,
                     }
                 )

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import CascadeForest, DeepTree, Forest, predict_batch
-from .errors import EmptyDataset
+from .errors import EmptyDataset, FeatureOutOfRange
 from .rng import generator, seed_sequence
 from .tree import Leaf, Node, Tree, evaluate_batch
 
@@ -82,6 +82,64 @@ def truncate_depth(grown, max_depth: int) -> Tree:
         return Node(node.feature, node.threshold, walk(node.left, depth + 1), walk(node.right, depth + 1))
 
     return walk(grown, 0)
+
+
+def depth_labels(grown, X, max_depth: int) -> np.ndarray:
+    """Labels of every depth budget from one walk of a grown tree.
+
+    Row b of the (max_depth + 1, m) result equals
+    evaluate_batch(truncate_depth(grown, b), X): a split at depth d writes
+    its majority into row d, the leaf it collapses to under budget d, and a
+    leaf at depth d writes its label into rows d..max_depth. Raises
+    FeatureOutOfRange where evaluating the max_depth truncation would.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("expected a 2-d row matrix")
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    width = X.shape[1]
+    out = np.empty((max_depth + 1, X.shape[0]), dtype=np.int64)
+    stack = [(grown, 0, np.arange(X.shape[0]))]
+    while stack:
+        node, depth, idx = stack.pop()
+        if isinstance(node, GrownLeaf):
+            out[depth:, idx] = node.label
+            continue
+        out[depth, idx] = node.majority
+        if depth == max_depth:
+            continue
+        if node.feature > width:
+            raise FeatureOutOfRange(
+                f"tree reads feature {node.feature} but input has width {width}"
+            )
+        go_left = X[idx, node.feature - 1] <= node.threshold
+        stack.append((node.left, depth + 1, idx[go_left]))
+        stack.append((node.right, depth + 1, idx[~go_left]))
+    return out
+
+
+def depth_leaf_counts(grown, max_depth: int) -> np.ndarray:
+    """Leaf count of truncate_depth(grown, b) for every budget b in 0..max_depth.
+
+    Under budget b the leaves are the grown leaves at depth <= b plus the
+    splits at depth b, which collapse to their majority.
+    """
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    leaves = np.zeros(max_depth + 1, dtype=np.int64)
+    collapsed = np.zeros(max_depth + 1, dtype=np.int64)
+    stack = [(grown, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, GrownLeaf):
+            leaves[depth] += 1
+            continue
+        collapsed[depth] += 1
+        if depth < max_depth:
+            stack.append((node.left, depth + 1))
+            stack.append((node.right, depth + 1))
+    return np.cumsum(leaves) + collapsed
 
 
 def truncate_leaves(grown, max_leaves: int) -> Tree:

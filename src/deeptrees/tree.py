@@ -43,9 +43,17 @@ def leaf_count(tree: Tree) -> int:
     return leaf_count(tree.left) + leaf_count(tree.right)
 
 
+def dim_from_leaves(leaves):
+    """Parameter count of a tree with this many leaves: 3*(leaves - 1) + 1.
+
+    Elementwise on an array of leaf counts.
+    """
+    return 3 * (leaves - 1) + 1
+
+
 def dim_of(tree: Tree) -> int:
     """Parameter count: 3*(leaf_count - 1) + 1."""
-    return 3 * (leaf_count(tree) - 1) + 1
+    return dim_from_leaves(leaf_count(tree))
 
 
 def max_feature(tree: Tree) -> int:

@@ -3,16 +3,19 @@ import pytest
 
 from deeptrees.construct import build_parity_deeptree
 from deeptrees.ensemble import (
+    TIE_NEGATIVE,
     TIE_POSITIVE,
     TIE_SEEDED,
     CascadeForest,
     DeepTree,
     Forest,
     SizeBudget,
+    _break_tie,
     model_dim,
+    resolve_votes,
     total_leaves,
 )
-from deeptrees.errors import SizeBudgetExceeded
+from deeptrees.errors import FeatureOutOfRange, SizeBudgetExceeded
 from deeptrees.lattice import LatticeSpace, ParityConcept
 from deeptrees.learn import TrainConfig, train_forest
 from deeptrees.rng import generator
@@ -36,6 +39,71 @@ def test_tie_rules():
     again = seeded.predict_batch(x)
     assert np.array_equal(first, again)
     assert first[0] == first[2]  # same point, same coin
+
+
+def reference_vote(votes, tie_rule, tie_seed, X):
+    """Per-row majority over an (n_trees, m) vote matrix, ties one row at a time."""
+    classes = np.unique(votes)
+    counts = np.stack([(votes == c).sum(axis=0) for c in classes], axis=1)
+    best = counts.max(axis=1)
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for r in range(X.shape[0]):
+        tied = classes[counts[r] == best[r]]
+        if len(tied) == 1:
+            out[r] = tied[0]
+        else:
+            out[r] = _break_tie(tied, tie_rule, tie_seed, X[r])
+    return out
+
+
+def lookup_tree(labels):
+    """Tree sending a row whose feature 1 is i (0-based) to labels[i]."""
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return Leaf(int(labels[lo]))
+        mid = (lo + hi) // 2
+        return Node(1, mid - 0.5, build(lo, mid), build(mid, hi))
+
+    return build(0, len(labels))
+
+
+@pytest.mark.parametrize(
+    "labels", [(-1, 1), (0, 1, 2), (-7, -2, 3, 10), (2, 5, 11, 40, 41)]
+)
+@pytest.mark.parametrize("tie_rule", [TIE_NEGATIVE, TIE_POSITIVE, TIE_SEEDED])
+def test_vote_matches_per_row_reference(labels, tie_rule):
+    rng = generator(len(labels), "vote-reference", tie_rule)
+    for n_trees in (2, 4, 6):  # even widths and few trees per class: many ties
+        votes = np.array(labels)[rng.integers(0, len(labels), size=(n_trees, 40))]
+        X = np.column_stack([np.arange(40.0), rng.random(40)])
+        seeds = (3, 17, 2024) if tie_rule == TIE_SEEDED else (None,)
+        for tie_seed in seeds:
+            expected = reference_vote(votes, tie_rule, tie_seed, X)
+            forest = Forest(
+                tuple(lookup_tree(v) for v in votes), tie_rule=tie_rule, tie_seed=tie_seed
+            )
+            assert np.array_equal(forest.predict_batch(X), expected)
+            assert [forest.predict(x) for x in X] == expected.tolist()
+            # a superset of the voted classes changes nothing
+            classes = np.array(sorted(set(labels) | {min(labels) - 5, max(labels) + 5}))
+            counts = np.stack([(votes == c).sum(axis=0) for c in classes], axis=1)
+            assert np.array_equal(resolve_votes(classes, counts, tie_rule, tie_seed, X), expected)
+
+
+def test_forest_point_query_rejects_narrow_rows():
+    # the member reading feature 3 is never reached on either branch of x1,
+    # yet a row of width 2 must still be rejected
+    wide = Node(1, 0.5, Leaf(1), Node(1, 5.0, Leaf(-1), Node(3, 0.0, Leaf(1), Leaf(-1))))
+    forest = Forest((Leaf(1), wide, Node(2, 0.5, Leaf(-1), Leaf(1))))
+    for x in ([0.0, 0.0], [1.0, 1.0]):
+        with pytest.raises(FeatureOutOfRange):
+            forest.predict(x)
+        with pytest.raises(FeatureOutOfRange):
+            forest.predict_batch(np.array([x]))
+    assert forest.predict([0.0, 0.0, 0.0]) == forest.predict_batch(np.zeros((1, 3)))[0]
+    with pytest.raises(FeatureOutOfRange):
+        Forest((Node(2, 0.5, Leaf(-1), Leaf(1)),)).predict([0.0])
 
 
 def test_odd_forests_never_tie():

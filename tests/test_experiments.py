@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from deeptrees.experiments import (
     BOUNDS_COLUMNS,
     ExperimentConfig,
     SIM_COLUMNS,
+    UCI_COLUMNS,
     leaves_to_target,
     load_config,
     run_bounds_suite,
@@ -65,6 +68,16 @@ TINY_SIM = dict(
     sim_depths=(1, 2, 3, 4),
     sim_sample_count=3000,
 )
+# SHA-256 of strip_wall_time(sim.csv) and of sim_summary.csv for TINY_SIM,
+# recorded when every cell was scored by truncating and evaluating it alone
+TINY_SIM_DIGESTS = {
+    "sim.csv": "06f193e89b559489f619335eba2b1e4c1a018d5983bba8c05406a00f33da5c6d",
+    "sim_summary.csv": "5b2235d45712eb37a6ab4f17b53b3e46d5ba2d189fa74fb96edcb3446012afa5",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_run_simulation_rows_and_determinism(tmp_path):
@@ -72,6 +85,9 @@ def test_run_simulation_rows_and_determinism(tmp_path):
     rows = run_simulation(cfg)
     assert len(rows) == 3 * 4
     assert {r["model"] for r in rows} == {"T", "DT-2", "RF-3"}
+    for row in rows:
+        if row["model"] != "DT-2":  # the deepest cell carries growth and all scoring
+            assert (row["wall_time"] > 0.0) == (row["setting"] == "depth=4")
     table_a = write_table(rows, SIM_COLUMNS, tmp_path / "a" / "sim.csv")
     rows_b = run_simulation(ExperimentConfig(**TINY_SIM, out_dir=tmp_path / "b"))
     table_b = write_table(rows_b, SIM_COLUMNS, tmp_path / "b" / "sim.csv")
@@ -119,8 +135,11 @@ def test_run_experiment_sim_writes_tables_then_plots(tmp_path):
     assert written["table"].exists()
     assert written["summary"].exists()
     assert all(p.exists() for p in written["plots"])
-    header = written["table"].read_text(encoding="utf-8").splitlines()[0]
-    assert header == ",".join(SIM_COLUMNS)
+    table = written["table"].read_text(encoding="utf-8")
+    assert table.splitlines()[0] == ",".join(SIM_COLUMNS)
+    assert _sha256(strip_wall_time(table)) == TINY_SIM_DIGESTS["sim.csv"]
+    summary = written["summary"].read_text(encoding="utf-8")
+    assert _sha256(summary) == TINY_SIM_DIGESTS["sim_summary.csv"]
 
 
 def test_gini_verification_pass_and_fail():
@@ -201,6 +220,14 @@ def test_run_uci_with_local_manifest(tmp_path, monkeypatch):
             assert row["total_trees"] == 2 * row["width"]
     summary = summarize_uci(rows)
     assert summary["toy"]["df_cells"] == 4  # matched budgets: (4,8) trees x 2 sizes
+    # recorded when every RF width was scored as a forest of its own
+    table = write_table(rows, UCI_COLUMNS, tmp_path / "uci.csv").read_text(encoding="utf-8")
+    assert _sha256(strip_wall_time(table)) == (
+        "c13e394cf5d113ce71ff436be58a53c54b04a4fecf1070b57663e1408c0a6bfa"
+    )
+    for row in rows:
+        if row["model"] == "RF":  # the widest cell carries growth and all scoring
+            assert (row["wall_time"] > 0.0) == (row["width"] == 8)
 
 
 def test_write_table_formats(tmp_path):
@@ -263,6 +290,10 @@ def test_config_validation():
         ExperimentConfig(experiment="sim", scale="galactic")
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="sim", sim_depths=())
+    with pytest.raises(ValueError):
+        ExperimentConfig(experiment="sim", sim_depths=(-1, 3))
+    with pytest.raises(ValueError):
+        ExperimentConfig(experiment="uci", uci_rf_widths=(0, 4))
 
 
 def test_plot_carries_one_series_per_model(tmp_path):

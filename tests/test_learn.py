@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from deeptrees.data_io import SimulationSpec, generate_simulation
-from deeptrees.ensemble import CascadeForest, DeepTree, predict_batch
-from deeptrees.errors import EmptyDataset
+from deeptrees.ensemble import CascadeForest, DeepTree, model_dim, predict_batch, total_leaves
+from deeptrees.errors import EmptyDataset, FeatureOutOfRange
 from deeptrees.lattice import LatticeSpace, ParityConcept
 from deeptrees.learn import (
     TrainConfig,
     accuracy,
+    depth_labels,
+    depth_leaf_counts,
     predict,
     to_params,
     train_cascade,
@@ -19,7 +21,7 @@ from deeptrees.learn import (
     truncate_leaves,
 )
 from deeptrees.rng import generator
-from deeptrees.tree import Leaf, Node, leaf_count, max_feature
+from deeptrees.tree import Leaf, Node, dim_from_leaves, evaluate_batch, leaf_count, max_feature
 
 PLAIN = TrainConfig(bootstrap=False, feature_subsample="all")
 
@@ -105,6 +107,64 @@ def test_truncate_depth_equals_retraining_with_subsampling():
         cfg_d = TrainConfig(max_depth=depth, seed=3, n_trees=3, bootstrap=True, feature_subsample="sqrt")
         direct = train_forest_grown(X, y, cfg_d)
         assert [truncate_depth(g, depth) for g in grown] == [to_params(g) for g in direct]
+
+
+def _grown_corpus(seed):
+    """Grown trees of every kind on one random corpus, with held-out rows.
+
+    The held-out rows spread past the training range, and a three-row set
+    leaves most branches without rows.
+    """
+    classes = ((-1, 1), (-4, 0, 9), (2, 3, 5, 7))[seed % 3]
+    X, y = random_data(seed, rows=160, cols=3, classes=classes)
+    X = np.round(X * (2 + seed % 4))  # repeated values: fewer cuts, more ties
+    rng = generator(seed, "depth-labels-holdout")
+    held_out = (rng.random((60, 3)) * 8 - 2, rng.random((3, 3)) * 8 - 2)
+    grown = [
+        train_tree_grown(X, y, PLAIN),
+        train_tree_grown(X, y, TrainConfig(max_depth=3, bootstrap=False)),
+        *train_forest_grown(
+            X, y, TrainConfig(seed=seed, n_trees=3, bootstrap=True, feature_subsample="sqrt")
+        ),
+        *train_forest_grown(
+            X, y, TrainConfig(max_depth=5, seed=seed, n_trees=2, feature_subsample="sqrt")
+        ),
+    ]
+    return grown, (X, *held_out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_depth_labels_equal_per_depth_truncation(seed):
+    grown, matrices = _grown_corpus(seed)
+    for g in grown:
+        for max_depth in (0, 2, 12):
+            leaves = depth_leaf_counts(g, max_depth)
+            assert leaves.shape == (max_depth + 1,)
+            for b in range(max_depth + 1):
+                truncated = truncate_depth(g, b)
+                assert leaves[b] == total_leaves(truncated)
+                assert dim_from_leaves(leaves[b]) == model_dim(truncated)
+            for X in matrices:
+                labels = depth_labels(g, X, max_depth)
+                assert labels.shape == (max_depth + 1, len(X))
+                for b in range(max_depth + 1):
+                    assert np.array_equal(labels[b], evaluate_batch(truncate_depth(g, b), X))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_depth_labels_reject_narrow_rows_like_evaluate_batch(seed):
+    grown, (X, *_) = _grown_corpus(seed)
+    for g in grown:
+        for max_depth in (0, 1, 12):
+            for width in range(X.shape[1]):
+                narrow = X[:5, :width]
+                try:
+                    evaluate_batch(truncate_depth(g, max_depth), narrow)
+                except FeatureOutOfRange:
+                    with pytest.raises(FeatureOutOfRange):
+                        depth_labels(g, narrow, max_depth)
+                else:
+                    depth_labels(g, narrow, max_depth)
 
 
 def test_forest_member_streams_are_prefix_stable():
