@@ -2,7 +2,11 @@
 
 Everything here enumerates; nothing samples. Probabilities are exact
 rationals built from the distributions' integer weight tables, so the
-zero-error and tight-bound checks need no tolerances.
+zero-error and tight-bound checks need no tolerances. A region's point
+weights are held as an n-d numpy array of dtype object whose entries are
+Python ints (products of ``dim_weight_ints``): they are summed whole-array
+yet never wrap, where int64 would overflow (the product weights at a=3,
+n=8 already total 8.1e17, and a=5 passes 2**63).
 """
 
 import itertools
@@ -13,7 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import Forest, predict_batch, total_leaves
-from .errors import EmptyRegion, PreconditionViolated, SearchBudgetExceeded, SpaceTooLarge
+from .errors import (
+    EmptyRegion,
+    OutOfBounds,
+    PreconditionViolated,
+    SearchBudgetExceeded,
+    SpaceTooLarge,
+)
 from .lattice import Concept, LatticeDistribution, LatticeSpace
 from .tree import Leaf, Node, Region, Tree, region_size
 
@@ -101,6 +111,28 @@ def label_partition(space: LatticeSpace, concept: Concept, r: int = 1, cap: int 
     return LabelPartition(space, r, classes, class_labels, class_of)
 
 
+def _region_grid(space: LatticeSpace, concept: Concept, dist: LatticeDistribution,
+                 region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and exact weights of every lattice point of a region.
+
+    Both arrays are shaped like the region, axis j running over feature
+    j+1's values lo..hi, so their ravel order is enumeration order.
+    Weights are Python ints in an object array: the outer product of the
+    per-dimension integer weights, unnormalized (the full lattice sums to
+    dist.total_weight_int()).
+    """
+    if len(region) != space.n or any(lo < 1 or hi > space.p for lo, hi in region):
+        raise OutOfBounds(f"region {region} is not a box inside [{space.p}]^{space.n}")
+    grid = np.meshgrid(*[np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in region],
+                       indexing="ij", copy=False)
+    labels = concept.labels(np.stack(grid, axis=-1).reshape(-1, space.n)).reshape(grid[0].shape)
+    weights = np.array(1, dtype=object)
+    for i, (lo, hi) in enumerate(region, start=1):
+        dim_weights = np.array(dist.dim_weight_ints(i)[0][lo - 1:hi], dtype=object)
+        weights = np.multiply.outer(weights, dim_weights)
+    return labels, weights
+
+
 @dataclass
 class RiskReport:
     error_set_size: int
@@ -121,10 +153,11 @@ def risk_report(model, concept: Concept, dist: LatticeDistribution, space: Latti
         raise SpaceTooLarge(f"p^n = {space.size} exceeds cap {cap}")
     points = space.enumerate_points(cap)
     predictions = predict_batch(model, points.astype(np.float64))
-    truth = concept.labels(points)
-    wrong = predictions != truth
+    full_region: Region = tuple((1, space.p) for _ in range(space.n))
+    truth, weights = _region_grid(space, concept, dist, full_region)
+    wrong = predictions != truth.ravel()
     error_size = int(np.count_nonzero(wrong))
-    exact = sum((dist.mass_fraction(x) for x in points[wrong]), Fraction(0))
+    exact = Fraction(int(weights.ravel()[wrong].sum()), dist.total_weight_int())
     return RiskReport(
         error_set_size=error_size,
         proper_set_size=space.size - error_size,
@@ -199,23 +232,15 @@ class _OracleSearch:
         self.states = 0
         self._memo: dict[tuple[Region, int], tuple[int, object]] = {}
         self._class_weights: dict[Region, tuple[int, int]] = {}
-        self._dim_weights = [dist.dim_weight_ints(i)[0] for i in range(1, space.n + 1)]
 
     def region_class_weights(self, region: Region) -> tuple[int, int]:
         """(positive weight, negative weight) of the region, exact ints."""
         cached = self._class_weights.get(region)
         if cached is not None:
             return cached
-        w_pos = 0
-        w_neg = 0
-        for point in itertools.product(*[range(lo, hi + 1) for lo, hi in region]):
-            w = 1
-            for j, v in enumerate(point):
-                w *= self._dim_weights[j][v - 1]
-            if self.concept.label(np.array(point, dtype=np.int64)) == 1:
-                w_pos += w
-            else:
-                w_neg += w
+        labels, weights = _region_grid(self.space, self.concept, self.dist, region)
+        w_pos = int(np.where(labels == 1, weights, 0).sum())
+        w_neg = int(weights.sum()) - w_pos
         self._class_weights[region] = (w_pos, w_neg)
         return w_pos, w_neg
 
@@ -353,23 +378,20 @@ def gini_gain_map(space: LatticeSpace, dist: LatticeDistribution, concept: Conce
         raise SpaceTooLarge(f"p^n = {space.size} exceeds cap {cap}")
     if region_size(region) == 0:
         raise EmptyRegion(f"region {region} holds no lattice point")
-    dim_weights = [dist.dim_weight_ints(i)[0] for i in range(1, space.n + 1)]
+    labels, weights = _region_grid(space, concept, dist, region)
+    classes = [int(c) for c in np.unique(labels)]
     class_totals: dict[int, int] = {}
-    # marginal weight of (feature value, class) pairs within the region
-    marginals: list[dict[tuple[int, int], int]] = [dict() for _ in range(space.n)]
-    for point in itertools.product(*[range(lo, hi + 1) for lo, hi in region]):
-        w = 1
-        for j, v in enumerate(point):
-            w *= dim_weights[j][v - 1]
-        label = concept.label(np.array(point, dtype=np.int64))
-        class_totals[label] = class_totals.get(label, 0) + w
-        for j, v in enumerate(point):
-            key = (v, label)
-            marginals[j][key] = marginals[j].get(key, 0) + w
+    # marginals[c][j][v - lo_j]: weight of class c at value v of feature j+1
+    marginals: dict[int, list] = {}
+    for c in classes:
+        masked = np.where(labels == c, weights, 0)
+        class_totals[c] = int(masked.sum())
+        marginals[c] = [
+            masked.sum(axis=tuple(k for k in range(space.n) if k != j)) for j in range(space.n)
+        ]
     total = sum(class_totals.values())
     if total == 0:
         raise EmptyRegion(f"region {region} has zero probability mass")
-    classes = sorted(class_totals)
     parent = _gini([class_totals[c] for c in classes], total)
     gains: dict[tuple[int, int], Fraction] = {}
     best = None
@@ -379,7 +401,7 @@ def gini_gain_map(space: LatticeSpace, dist: LatticeDistribution, concept: Conce
         left_by_class = {c: 0 for c in classes}
         for cut in range(lo, hi):
             for c in classes:
-                left_by_class[c] += marginals[feature - 1].get((cut, c), 0)
+                left_by_class[c] += marginals[c][feature - 1][cut - lo]
             left_total = sum(left_by_class.values())
             right_total = total - left_total
             left_term = (

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FeatureOutOfRange, SizeBudgetExceeded
 from .rng import generator
-from .tree import Leaf, Node, Tree, dim_of, evaluate, evaluate_batch, leaf_count, max_feature
+from .tree import Leaf, Node, Tree, dim_of, evaluate_batch, evaluate_row, leaf_count, max_feature
 
 TIE_NEGATIVE = "negative"  # lowest tied label; the reproducible default
 TIE_POSITIVE = "positive"  # highest tied label
@@ -116,19 +116,26 @@ class Forest:
         """(n_trees, m) label matrix."""
         return np.stack([evaluate_batch(tree, X) for tree in self.trees])
 
-    def predict(self, x) -> int:
-        """Vote of the members, each routing the single row to one leaf."""
-        x = np.asarray(x, dtype=np.float64)
+    def _row_votes(self, x: np.ndarray) -> Counter:
+        """Member votes on one float64 row, each member routing it to one leaf."""
         if x.ndim != 1:
             raise ValueError("expected a 1-d input row")
         if self.max_feature > x.shape[0]:
             raise FeatureOutOfRange(
                 f"forest reads feature {self.max_feature} but input has width {x.shape[0]}"
             )
-        votes = Counter(evaluate(tree, x) for tree in self.trees)
-        classes = sorted(votes)
-        counts = np.array([[votes[c] for c in classes]])
-        return int(resolve_votes(classes, counts, self.tie_rule, self.tie_seed, x[None, :])[0])
+        row = x.tolist()
+        return Counter(evaluate_row(tree, row) for tree in self.trees)
+
+    def predict(self, x) -> int:
+        """Vote of the members on a single row; the tie rule sees tied rows only."""
+        x = np.asarray(x, dtype=np.float64)
+        votes = self._row_votes(x)
+        best = max(votes.values())
+        tied = [label for label, count in votes.items() if count == best]
+        if len(tied) == 1:
+            return int(tied[0])
+        return _break_tie(tied, self.tie_rule, self.tie_seed, x)
 
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -164,10 +171,12 @@ class DeepTree:
         return len(self.layers)
 
     def predict(self, x) -> int:
-        x = np.asarray(x, dtype=np.float64)
-        y = evaluate(self.layers[0], x)
+        row = np.asarray(x, dtype=np.float64).tolist()
+        y = evaluate_row(self.layers[0], row)
+        row.append(0.0)  # feature n+1: the previous layer's label
         for layer in self.layers[1:]:
-            y = evaluate(layer, np.append(x, float(y)))
+            row[-1] = float(y)
+            y = evaluate_row(layer, row)
         return int(y)
 
     def predict_batch(self, X) -> np.ndarray:
@@ -211,7 +220,15 @@ class CascadeForest:
         return self.layers[-1].predict_batch(self.augmented_inputs(X, len(self.layers) - 1))
 
     def predict(self, x) -> int:
-        return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
+        """Single-row prediction; each layer's vote fractions are count / n_trees,
+        the same float64 values as vote_fractions' mean of a bool column."""
+        x = np.asarray(x, dtype=np.float64)
+        current = x
+        for layer in self.layers[:-1]:
+            votes = layer._row_votes(current)
+            n_trees = len(layer.trees)
+            current = np.append(x, [votes[c] / n_trees for c in self.classes])
+        return self.layers[-1].predict(current)
 
 
 def model_dim(model) -> int:

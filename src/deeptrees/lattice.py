@@ -167,14 +167,6 @@ class LatticeDistribution:
     def dim_masses(self, i: int) -> np.ndarray:
         return np.array([float(f) for f in self.dim_mass_fractions(i)], dtype=np.float64)
 
-    def point_weight_int(self, x) -> int:
-        """Product of per-dimension integer weights; exact and unnormalized."""
-        x = self.space.check_point(x)
-        w = 1
-        for i, v in enumerate(x, start=1):
-            w *= self.dim_weight_ints(i)[0][int(v) - 1]
-        return w
-
     def total_weight_int(self) -> int:
         t = 1
         for i in range(1, self.space.n + 1):

@@ -69,16 +69,26 @@ def tree_labels(tree: Tree) -> set:
     return tree_labels(tree.left) | tree_labels(tree.right)
 
 
+def evaluate_row(tree: Tree, row: list) -> int:
+    """Route one row, given as a list of Python floats, to its leaf label.
+
+    Point queries convert their row once with ``tolist()`` and compare on
+    Python floats, which are the same float64 values without the per-node
+    cost of indexing a numpy array.
+    """
+    width = len(row)
+    while isinstance(tree, Node):
+        if tree.feature > width:
+            raise FeatureOutOfRange(
+                f"tree reads feature {tree.feature} but input has width {width}"
+            )
+        tree = tree.left if row[tree.feature - 1] <= tree.threshold else tree.right
+    return tree.label
+
+
 def evaluate(tree: Tree, x) -> int:
     """Route a single input vector to its leaf label."""
-    x = np.asarray(x, dtype=np.float64)
-    while isinstance(tree, Node):
-        if tree.feature > x.shape[0]:
-            raise FeatureOutOfRange(
-                f"tree reads feature {tree.feature} but input has width {x.shape[0]}"
-            )
-        tree = tree.left if x[tree.feature - 1] <= tree.threshold else tree.right
-    return tree.label
+    return evaluate_row(tree, np.asarray(x, dtype=np.float64).tolist())
 
 
 def evaluate_batch(tree: Tree, X) -> np.ndarray:

@@ -1,9 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from deeptrees.analysis import (
+    _gini,
+    _OracleSearch,
     forest_zero_error_leafbound,
     gini_gain_map,
     label_partition,
@@ -11,9 +14,10 @@ from deeptrees.analysis import (
     tree_complexity_oracle,
 )
 from deeptrees.construct import build_parity_deeptree
-from deeptrees.ensemble import Forest
+from deeptrees.ensemble import Forest, predict_batch
 from deeptrees.errors import (
     EmptyRegion,
+    OutOfBounds,
     PreconditionViolated,
     SearchBudgetExceeded,
     SpaceTooLarge,
@@ -366,3 +370,142 @@ def test_gini_fully_resolved_region():
     gm = gini_gain_map(space, UniformDistribution(space), ParityConcept(space), region=((2, 2), (3, 3)))
     assert gm.best is None
     assert gm.gains == {}
+
+
+@pytest.mark.parametrize("region", [((0, 4), (1, 4)), ((1, 5), (1, 4)), ((1, 4),)])
+def test_gini_rejects_regions_outside_the_lattice(region):
+    space = LatticeSpace(2, 4)
+    with pytest.raises(OutOfBounds):
+        gini_gain_map(space, ProductDistribution(space, 3), ParityConcept(space), region=region)
+
+
+# ---------------------------------------------------------------------------
+# whole-region kernels against the per-point loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _points(region):
+    return itertools.product(*[range(lo, hi + 1) for lo, hi in region])
+
+
+def _point_weight(dist, point):
+    w = 1
+    for i, v in enumerate(point, start=1):
+        w *= dist.dim_weight_ints(i)[0][v - 1]
+    return w
+
+
+def reference_gini_gain_map(space, dist, concept, region):
+    """Per-point loop: one concept.label call and one weight product per point."""
+    class_totals = {}
+    marginals = [dict() for _ in range(space.n)]
+    for point in _points(region):
+        w = _point_weight(dist, point)
+        label = concept.label(np.array(point, dtype=np.int64))
+        class_totals[label] = class_totals.get(label, 0) + w
+        for j, v in enumerate(point):
+            marginals[j][(v, label)] = marginals[j].get((v, label), 0) + w
+    total = sum(class_totals.values())
+    classes = sorted(class_totals)
+    parent = _gini([class_totals[c] for c in classes], total)
+    gains = {}
+    best = None
+    for feature in range(1, space.n + 1):
+        lo, hi = region[feature - 1]
+        left = {c: 0 for c in classes}
+        for cut in range(lo, hi):
+            for c in classes:
+                left[c] += marginals[feature - 1].get((cut, c), 0)
+            left_total = sum(left.values())
+            right_total = total - left_total
+            gain = (
+                parent
+                - Fraction(left_total, total) * _gini(list(left.values()), left_total)
+                - Fraction(right_total, total)
+                * _gini([class_totals[c] - left[c] for c in classes], right_total)
+            )
+            gains[(feature, cut)] = gain
+            if best is None or gain > gains[best]:
+                best = (feature, cut)
+    return parent, gains, best
+
+
+def reference_risk(model, concept, dist, space):
+    """Per-point sum of mass_fraction over the misclassified points."""
+    points = space.enumerate_points()
+    wrong = predict_batch(model, points.astype(np.float64)) != concept.labels(points)
+    return sum((dist.mass_fraction(x) for x in points[wrong]), Fraction(0))
+
+
+def reference_class_weights(dist, concept, region):
+    w_pos = w_neg = 0
+    for point in _points(region):
+        w = _point_weight(dist, point)
+        if concept.label(np.array(point, dtype=np.int64)) == 1:
+            w_pos += w
+        else:
+            w_neg += w
+    return w_pos, w_neg
+
+
+def _random_region(rng, space):
+    region = []
+    for _ in range(space.n):
+        lo, hi = sorted(int(v) for v in rng.integers(1, space.p + 1, size=2))
+        region.append((lo, hi))
+    return tuple(region)
+
+
+def _concepts(space, rng):
+    return (
+        ParityConcept(space),
+        TabulatedConcept(space, rng.choice([-1, 1, 3], size=space.size)),
+        ConstantConcept(space, -1),
+    )
+
+
+def _distributions(space):
+    return (UniformDistribution(space),) + tuple(
+        ProductDistribution(space, a) for a in (3, 2, Fraction(5, 2))
+    )
+
+
+def _assert_gini_matches_reference(space, dist, concept, region):
+    gm = gini_gain_map(space, dist, concept, region=region)
+    parent, gains, best = reference_gini_gain_map(space, dist, concept, region)
+    assert gm.parent_impurity == parent
+    assert list(gm.gains.items()) == list(gains.items())
+    assert gm.best == best
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_region_kernels_equal_per_point_reference(n):
+    space = LatticeSpace(n, 4)
+    rng = generator(n, "region-kernel-reference")
+    for concept in _concepts(space, rng):
+        for dist in _distributions(space):
+            search = _OracleSearch(space, concept, dist, node_budget=1)
+            regions = [tuple((1, 4) for _ in range(n))]
+            regions += [_random_region(rng, space) for _ in range(3)]
+            for region in regions:
+                _assert_gini_matches_reference(space, dist, concept, region)
+                assert search.region_class_weights(region) == reference_class_weights(
+                    dist, concept, region
+                )
+            for _ in range(3):
+                tree = random_tree(rng, space, max_extra_splits=8)
+                report = risk_report(tree, concept, dist, space)
+                assert report.exact_risk == reference_risk(tree, concept, dist, space)
+
+
+def test_region_kernels_exact_past_int64():
+    # at a=5 the point weights on [4]^8 reach 5**36; this box holds 5**30
+    space = LatticeSpace(8, 4)
+    dist = ProductDistribution(space, 5)
+    region = ((1, 2), (1, 2), (1, 2), (2, 3), (3, 3), (3, 4), (2, 3), (3, 3))
+    for concept in _concepts(space, generator(8, "region-kernel-int64")):
+        w_pos, w_neg = reference_class_weights(dist, concept, region)
+        assert w_pos + w_neg > 2**63
+        search = _OracleSearch(space, concept, dist, node_budget=1)
+        assert search.region_class_weights(region) == (w_pos, w_neg)
+        _assert_gini_matches_reference(space, dist, concept, region)

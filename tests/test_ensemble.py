@@ -17,7 +17,7 @@ from deeptrees.ensemble import (
 )
 from deeptrees.errors import FeatureOutOfRange, SizeBudgetExceeded
 from deeptrees.lattice import LatticeSpace, ParityConcept
-from deeptrees.learn import TrainConfig, train_forest
+from deeptrees.learn import TrainConfig, train_cascade, train_forest
 from deeptrees.rng import generator
 from deeptrees.tree import Leaf, Node, evaluate, evaluate_batch
 
@@ -217,3 +217,32 @@ def test_cascade_forest_stages():
     assert stage2_inputs[0, 1] == pytest.approx(2 / 3)  # fraction voting class 0
     # the class-0 fraction 2/3 exceeds the 0.5 threshold, so layer 2 routes right
     assert cascade.predict(X[0]) == 0
+
+
+@pytest.mark.parametrize("tie_rule", [TIE_NEGATIVE, TIE_POSITIVE, TIE_SEEDED])
+def test_cascade_forest_point_matches_batch(tie_rule):
+    # an even width and three classes leave ties in the last layer's vote
+    rng = generator(7, "cascade-forest-point")
+    X = rng.random((300, 3)) * 4
+    y = np.floor(X[:, 0] + X[:, 1]).astype(np.int64) % 3
+    trained = train_cascade(
+        X, y, TrainConfig(max_depth=2, n_trees=4, cascade_depth=3, augment_mode="classvector")
+    )
+    cascade = CascadeForest(
+        tuple(Forest(layer.trees, tie_rule=tie_rule, tie_seed=11) for layer in trained.layers),
+        trained.classes,
+    )
+    rows = rng.random((200, 3)) * 4
+    batch = cascade.predict_batch(rows)
+    assert [cascade.predict(x) for x in rows] == batch.tolist()
+    votes = cascade.layers[-1].member_predictions(cascade.augmented_inputs(rows, cascade.depth - 1))
+    counts = np.stack([(votes == c).sum(axis=0) for c in cascade.classes], axis=1)
+    tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    assert tied.sum() >= 5, "the sample must exercise the tie rule"
+
+
+def test_deeptree_point_query_rejects_narrow_rows():
+    # layer 1 sees only the raw row, so feature n+1 is out of range there
+    with pytest.raises(FeatureOutOfRange):
+        DeepTree((Node(3, 0.0, Leaf(1), Leaf(-1)),)).predict([0.0, 0.0])
+    assert DeepTree((Leaf(-1), Node(3, 0.0, Leaf(1), Leaf(-1)))).predict([0.0, 0.0]) == 1

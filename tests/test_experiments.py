@@ -7,6 +7,8 @@ from deeptrees.data_io import DatasetManifest, SourceFile
 from deeptrees.errors import EmptyTable
 from deeptrees.experiments import (
     BOUNDS_COLUMNS,
+    GINI_COLUMNS,
+    GINI_REPORT_COLUMNS,
     ExperimentConfig,
     SIM_COLUMNS,
     UCI_COLUMNS,
@@ -151,6 +153,23 @@ def test_gini_verification_pass_and_fail():
     root = next(r for r in rows if r["subject"] == "n=2,a=3" and r["layer"] == 1)
     assert (root["feature"], root["cut"]) == (1, 2)
     assert uniform_zero_gain_check(2)
+
+
+# SHA-256 of gini.csv and gini_summary.csv over the full grid, recorded when
+# every region was enumerated point by point
+GINI_GRID_DIGESTS = {
+    "gini.csv": "ad1cf990a53893070e3fbe56930c76597cef22921d39cc32d9a7dd1e0ddb6e2e",
+    "gini_summary.csv": "30ff8a1c6bcdc871e897035d84fb05ce12d77bfae211c4a7dfdc50cf330c7353",
+}
+
+
+def test_gini_verification_full_grid_digests(tmp_path):
+    cfg = ExperimentConfig(experiment="gini", gini_ns=(2, 4, 6, 8), gini_a_values=(3, 2))
+    rows, reports = run_gini_verification(cfg)
+    table = write_table(rows, GINI_COLUMNS, tmp_path / "gini.csv")
+    summary = write_table(reports, GINI_REPORT_COLUMNS, tmp_path / "gini_summary.csv")
+    assert _sha256(table.read_text(encoding="utf-8")) == GINI_GRID_DIGESTS["gini.csv"]
+    assert _sha256(summary.read_text(encoding="utf-8")) == GINI_GRID_DIGESTS["gini_summary.csv"]
 
 
 def test_bounds_suite_reduced_grid():
