@@ -7,6 +7,7 @@ the schemas.
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,14 +147,7 @@ def cmd_train(args):
     elif args.model == "cascade-tree":
         model = train_cascade(X, y, cfg)
     else:  # cascade-forest
-        if cfg.augment_mode != "classvector":
-            cfg = TrainConfig(
-                max_depth=cfg.max_depth, max_leaves=cfg.max_leaves, seed=cfg.seed,
-                n_trees=cfg.n_trees, bootstrap=cfg.bootstrap,
-                feature_subsample=cfg.feature_subsample, cascade_depth=cfg.cascade_depth,
-                augment_mode="classvector",
-            )
-        model = train_cascade(X, y, cfg)
+        model = train_cascade(X, y, replace(cfg, augment_mode="classvector"))
     _write_model(model, args.out)
     _emit(
         [

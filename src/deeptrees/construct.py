@@ -9,9 +9,9 @@ import math
 from dataclasses import dataclass
 
 from .ensemble import DeepTree, model_dim
-from .errors import FeatureOutOfRange, NonLatticeThreshold
+from .errors import NonLatticeThreshold, PreconditionViolated
 from .lattice import LatticeSpace
-from .tree import Leaf, Node, Region, Tree, leaf_count
+from .tree import Leaf, Node, Region, Tree, dim_of, leaf_regions
 
 
 def _passthrough(aug: int) -> Node:
@@ -79,32 +79,18 @@ def extract_leaf_lists(source: Tree, space: LatticeSpace) -> LeafList:
     """Positive and negative leaf regions with snapped integer bounds.
 
     Keeps every leaf (even ones whose region holds no lattice point) so
-    the counts match the source's leaf count exactly.
+    the counts match the source's leaf count exactly. Raises
+    FeatureOutOfRange or NonLatticeThreshold at the first offending node
+    in pre-order, then PreconditionViolated for a label outside {-1, +1}.
     """
-    positive: list[Region] = []
-    negative: list[Region] = []
-
-    def walk(node: Tree, bounds: list[tuple[int, int]]):
-        if isinstance(node, Leaf):
-            if node.label not in (-1, 1):
-                raise ValueError(f"compiler expects labels in {{-1, +1}}, got {node.label}")
-            (positive if node.label == 1 else negative).append(tuple(bounds))
-            return
-        if node.feature > space.n:
-            raise FeatureOutOfRange(
-                f"tree reads feature {node.feature} but the lattice has n = {space.n}"
-            )
-        j = node.feature - 1
-        lo, hi = bounds[j]
-        cut = snap_threshold(node.threshold, space.p)
-        bounds[j] = (lo, min(hi, cut))
-        walk(node.left, bounds)
-        bounds[j] = (max(lo, cut + 1), hi)
-        walk(node.right, bounds)
-        bounds[j] = (lo, hi)
-
-    walk(source, [(1, space.p)] * space.n)
-    return LeafList(tuple(positive), tuple(negative))
+    regions = leaf_regions(source, space, cut=lambda threshold: snap_threshold(threshold, space.p))
+    for _, label in regions:
+        if label not in (-1, 1):
+            raise PreconditionViolated(f"compiler expects labels in {{-1, +1}}, got {label}")
+    return LeafList(
+        tuple(region for region, label in regions if label == 1),
+        tuple(region for region, label in regions if label == -1),
+    )
 
 
 def _box_chain(region: Region, n: int, inside: int) -> Tree:
@@ -155,7 +141,7 @@ def compile_report(source: Tree, space: LatticeSpace) -> dict:
     """Numbers a reviewer wants next to a compiled model."""
     leaves = extract_leaf_lists(source, space)
     compiled = compile_to_deeptree(source, space)
-    source_dim = 3 * (leaf_count(source) - 1) + 1
+    source_dim = dim_of(source)
     compiled_dim = model_dim(compiled)
     minority = min(leaves.d_plus, leaves.d_minus)
     return {

@@ -28,8 +28,8 @@ from .learn import (
     TrainConfig,
     depth_labels,
     depth_leaf_counts,
-    to_params,
     train_cascade,
+    train_forest,
     train_forest_grown,
     train_tree,
     train_tree_grown,
@@ -659,13 +659,8 @@ def _zero_error_trained_forest(space: LatticeSpace, seed: int) -> Optional[Fores
     points = space.enumerate_points()
     X = np.tile(points, (32, 1)).astype(np.float64)
     y = np.tile(ParityConcept(space).labels(points), 32)
-    forest = Forest(
-        tuple(
-            to_params(g)
-            for g in train_forest_grown(
-                X, y, TrainConfig(seed=seed, n_trees=9, bootstrap=True, feature_subsample="sqrt")
-            )
-        )
+    forest = train_forest(
+        X, y, TrainConfig(seed=seed, n_trees=9, bootstrap=True, feature_subsample="sqrt")
     )
     votes = forest.member_predictions(points.astype(np.float64))
     truth = ParityConcept(space).labels(points)
@@ -699,8 +694,7 @@ def run_uci(cfg: ExperimentConfig) -> list:
             counts = [np.zeros((len(classes), len(X)), dtype=np.int64) for X, _ in splits]
             leaves = dim = 0
             prefixes = {}
-            for t, g in enumerate(grown, start=1):
-                member = to_params(g)
+            for t, member in enumerate(grown, start=1):
                 for (X, _), split_counts in zip(splits, counts):
                     _add_votes(split_counts, evaluate_batch(member, X), classes)
                 member_leaves = leaf_count(member)

@@ -6,10 +6,12 @@ the highest Gini gain wins, and ties break to the lowest feature index
 then the lowest threshold. Impure nodes split even at zero gain, which
 is what lets a tree fit parity under the uniform distribution.
 
-Training keeps an annotated "grown" tree around so a single deep run can
-be truncated to any smaller depth or leaf budget; the truncation equals
+Training returns plain Leaf/Node trees whose nodes also record their
+majority label and realization order, so a single deep run can be
+truncated to any smaller depth or leaf budget; the truncation equals
 retraining with the smaller budget because split decisions depend only
-on the node's own rows.
+on the node's own rows. Growth, assembly and truncation use explicit
+stacks, so no depth is too deep to train.
 """
 
 import heapq
@@ -22,7 +24,7 @@ import numpy as np
 from .ensemble import CascadeForest, DeepTree, Forest, predict_batch
 from .errors import EmptyDataset, FeatureOutOfRange
 from .rng import generator, seed_sequence
-from .tree import Leaf, Node, Tree, evaluate_batch
+from .tree import Leaf, Node, Tree, evaluate_batch, walk
 
 
 @dataclass(frozen=True)
@@ -50,41 +52,48 @@ class TrainConfig:
             raise ValueError(f"unknown augment_mode {self.augment_mode!r}")
 
 
-@dataclass(frozen=True)
-class GrownLeaf:
-    label: int
+def _assemble(majority: dict, splits: dict) -> Tree:
+    """Tree from records keyed by node id (root 1, children 2i and 2i + 1):
+    majority[i] for every node, splits[i] = (feature, threshold, order) for
+    those that split. Children are recorded after their parent, so reverse
+    record order builds every child before its parent."""
+    built = {}
+    for node_id in reversed(majority):
+        split = splits.get(node_id)
+        if split is None:
+            built[node_id] = Leaf(majority[node_id])
+        else:
+            feature, threshold, order = split
+            left = built.pop(2 * node_id)
+            right = built.pop(2 * node_id + 1)
+            built[node_id] = Node(feature, threshold, left, right, majority[node_id], order)
+    return built[1]
 
 
-@dataclass(frozen=True)
-class GrownSplit:
-    feature: int  # 1-based
-    threshold: float
-    left: object
-    right: object
-    majority: int  # label this subtree collapses to when truncated
-    order: int  # realization order during growth
+def _prune(grown: Tree, keep) -> Tree:
+    """Copy of a grown tree that keeps the splits keep(node, depth) accepts
+    and collapses every other split to a leaf of its majority."""
+    majority: dict = {}
+    splits: dict = {}
+    stack = [(grown, 0, 1)]
+    while stack:
+        node, depth, node_id = stack.pop()
+        if isinstance(node, Leaf):
+            majority[node_id] = node.label
+            continue
+        majority[node_id] = node.majority
+        if keep(node, depth):
+            splits[node_id] = (node.feature, node.threshold, node.order)
+            stack += ((node.right, depth + 1, 2 * node_id + 1), (node.left, depth + 1, 2 * node_id))
+    return _assemble(majority, splits)
 
 
-def to_params(grown) -> Tree:
-    if isinstance(grown, GrownLeaf):
-        return Leaf(grown.label)
-    return Node(grown.feature, grown.threshold, to_params(grown.left), to_params(grown.right))
-
-
-def truncate_depth(grown, max_depth: int) -> Tree:
+def truncate_depth(grown: Tree, max_depth: int) -> Tree:
     """The tree a run with this max_depth would have produced."""
-
-    def walk(node, depth):
-        if isinstance(node, GrownLeaf):
-            return Leaf(node.label)
-        if depth >= max_depth:
-            return Leaf(node.majority)
-        return Node(node.feature, node.threshold, walk(node.left, depth + 1), walk(node.right, depth + 1))
-
-    return walk(grown, 0)
+    return _prune(grown, lambda node, depth: depth < max_depth)
 
 
-def depth_labels(grown, X, max_depth: int) -> np.ndarray:
+def depth_labels(grown: Tree, X, max_depth: int) -> np.ndarray:
     """Labels of every depth budget from one walk of a grown tree.
 
     Row b of the (max_depth + 1, m) result equals
@@ -103,7 +112,7 @@ def depth_labels(grown, X, max_depth: int) -> np.ndarray:
     stack = [(grown, 0, np.arange(X.shape[0]))]
     while stack:
         node, depth, idx = stack.pop()
-        if isinstance(node, GrownLeaf):
+        if isinstance(node, Leaf):
             out[depth:, idx] = node.label
             continue
         out[depth, idx] = node.majority
@@ -119,7 +128,7 @@ def depth_labels(grown, X, max_depth: int) -> np.ndarray:
     return out
 
 
-def depth_leaf_counts(grown, max_depth: int) -> np.ndarray:
+def depth_leaf_counts(grown: Tree, max_depth: int) -> np.ndarray:
     """Leaf count of truncate_depth(grown, b) for every budget b in 0..max_depth.
 
     Under budget b the leaves are the grown leaves at depth <= b plus the
@@ -129,30 +138,15 @@ def depth_leaf_counts(grown, max_depth: int) -> np.ndarray:
         raise ValueError("max_depth must be >= 0")
     leaves = np.zeros(max_depth + 1, dtype=np.int64)
     collapsed = np.zeros(max_depth + 1, dtype=np.int64)
-    stack = [(grown, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, GrownLeaf):
-            leaves[depth] += 1
-            continue
-        collapsed[depth] += 1
-        if depth < max_depth:
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
+    for node, depth in walk(grown):
+        if depth <= max_depth:
+            (leaves if isinstance(node, Leaf) else collapsed)[depth] += 1
     return np.cumsum(leaves) + collapsed
 
 
-def truncate_leaves(grown, max_leaves: int) -> Tree:
+def truncate_leaves(grown: Tree, max_leaves: int) -> Tree:
     """Prefix of a best-first grown tree with at most max_leaves leaves."""
-
-    def walk(node):
-        if isinstance(node, GrownLeaf):
-            return Leaf(node.label)
-        if node.order >= max_leaves - 1:
-            return Leaf(node.majority)
-        return Node(node.feature, node.threshold, walk(node.left), walk(node.right))
-
-    return walk(grown)
+    return _prune(grown, lambda node, depth: node.order < max_leaves - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +180,7 @@ def _feature_best(X, y_codes, idx, counts, parent_gini, f):
     gains = parent_gini - (left_sizes * gini_left + right_sizes * gini_right) / m
     pos = int(np.argmax(gains))  # first maximum -> lowest threshold
     b = int(boundaries[pos])
-    return float(gains[pos]), f + 1, (sv[b] + sv[b + 1]) / 2.0
+    return float(gains[pos]), f + 1, float((sv[b] + sv[b + 1]) / 2.0)
 
 
 def _better(cand, best):
@@ -244,76 +238,40 @@ class _Grower:
             return False
         return int(counts.max()) < idx.size  # impure
 
-    def grow_depth_first(self, idx) -> object:
-        order_counter = [0]
+    def grow(self, rows=None) -> Tree:
+        """Grow depth-first, or best-first until the leaf budget when there is one.
 
-        def walk(idx, depth, node_id):
-            counts, majority = self._node_stats(idx)
-            if not self._splittable(idx, counts, depth):
-                return GrownLeaf(majority)
-            best = self._best_split(idx, counts, node_id)
-            if best is None:
-                return GrownLeaf(majority)
-            _, feature, threshold = best
-            order = order_counter[0]
-            order_counter[0] += 1
-            go_left = self.X[idx, feature - 1] <= threshold
-            left = walk(idx[go_left], depth + 1, node_id * 2)
-            right = walk(idx[~go_left], depth + 1, node_id * 2 + 1)
-            return GrownSplit(feature, threshold, left, right, majority, order)
-
-        return walk(idx, 0, 1)
-
-    def grow_best_first(self, idx) -> object:
-        """Realize splits highest-gain-first until the leaf budget is hit."""
-        records: dict[int, dict] = {}
-        heap: list = []
-        seq = 0
-
-        def admit(idx, depth, node_id):
-            nonlocal seq
-            counts, majority = self._node_stats(idx)
-            records[node_id] = {"majority": majority, "split": None}
-            if not self._splittable(idx, counts, depth):
-                return
-            best = self._best_split(idx, counts, node_id)
-            if best is None:
-                return
-            heapq.heappush(heap, (-best[0], seq, node_id, depth, idx, best))
-            seq += 1
-
-        admit(idx, 0, 1)
-        leaves = 1
-        order = 0
-        while heap and leaves < self.cfg.max_leaves:
-            _, _, node_id, depth, node_idx, best = heapq.heappop(heap)
-            _, feature, threshold = best
-            records[node_id]["split"] = (feature, threshold, order)
-            order += 1
-            leaves += 1
-            go_left = self.X[node_idx, feature - 1] <= threshold
-            admit(node_idx[go_left], depth + 1, node_id * 2)
-            admit(node_idx[~go_left], depth + 1, node_id * 2 + 1)
-
-        def assemble(node_id):
-            record = records[node_id]
-            if record["split"] is None:
-                return GrownLeaf(record["majority"])
-            feature, threshold, order = record["split"]
-            return GrownSplit(
-                feature, threshold, assemble(node_id * 2), assemble(node_id * 2 + 1),
-                record["majority"], order,
-            )
-
-        return assemble(1)
-
-    def grow(self, rows=None) -> object:
+        Each admitted node records its majority and puts its best split, if
+        any, on the frontier: a stack realizes splits in pre-order, a gain
+        heap highest-gain first. Splits are numbered in realization order.
+        """
         idx = np.arange(len(self.X)) if rows is None else np.asarray(rows)
         if idx.size == 0:
             raise EmptyDataset("cannot train on an empty row selection")
-        if self.cfg.max_leaves is not None:
-            return self.grow_best_first(idx)
-        return self.grow_depth_first(idx)
+        best_first = self.cfg.max_leaves is not None
+        push, pop = (heapq.heappush, heapq.heappop) if best_first else (list.append, list.pop)
+        majority: dict = {}
+        splits: dict = {}
+        frontier: list = []
+
+        def admit(idx, depth, node_id):
+            counts, majority[node_id] = self._node_stats(idx)
+            if not self._splittable(idx, counts, depth):
+                return
+            best = self._best_split(idx, counts, node_id)
+            if best is not None:
+                push(frontier, (-best[0], len(majority), node_id, depth, idx, best))
+
+        admit(idx, 0, 1)
+        while frontier and not (best_first and len(splits) + 1 >= self.cfg.max_leaves):
+            _, _, node_id, depth, idx, (_, feature, threshold) = pop(frontier)
+            splits[node_id] = (feature, threshold, len(splits))
+            go_left = self.X[idx, feature - 1] <= threshold
+            children = [(idx[go_left], 2 * node_id), (idx[~go_left], 2 * node_id + 1)]
+            # the stack pops the left child first; the heap breaks gain ties left first
+            for child_idx, child_id in (children if best_first else reversed(children)):
+                admit(child_idx, depth + 1, child_id)
+        return _assemble(majority, splits)
 
 
 def _derived_seed(master_seed: int, *tags) -> int:
@@ -321,18 +279,18 @@ def _derived_seed(master_seed: int, *tags) -> int:
     return int(words[0]) | (int(words[1]) << 32)
 
 
-def train_tree_grown(X, y, cfg: TrainConfig, rows=None, tree_seed: Optional[int] = None):
-    """Annotated greedy tree; truncate_depth / truncate_leaves give sub-budget trees."""
+def train_tree_grown(X, y, cfg: TrainConfig, rows=None, tree_seed: Optional[int] = None) -> Tree:
+    """Greedy tree; truncate_depth / truncate_leaves give sub-budget trees."""
     if tree_seed is None:
         tree_seed = _derived_seed(cfg.seed, "tree")
     return _Grower(X, y, cfg, tree_seed).grow(rows)
 
 
 def train_tree(X, y, cfg: TrainConfig = TrainConfig()) -> Tree:
-    return to_params(train_tree_grown(X, y, cfg))
+    return train_tree_grown(X, y, cfg)
 
 
-def train_forest_grown(X, y, cfg: TrainConfig) -> list:
+def train_forest_grown(X, y, cfg: TrainConfig) -> list[Tree]:
     X = np.asarray(X, dtype=np.float64)
     if len(X) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -349,7 +307,7 @@ def train_forest_grown(X, y, cfg: TrainConfig) -> list:
 
 def train_forest(X, y, cfg: TrainConfig) -> Forest:
     """Bagged forest; per-tree streams keep results schedule-independent."""
-    return Forest(tuple(to_params(g) for g in train_forest_grown(X, y, cfg)))
+    return Forest(tuple(train_forest_grown(X, y, cfg)))
 
 
 def train_cascade(X, y, cfg: TrainConfig, first_layer: Optional[Tree] = None):
@@ -377,7 +335,7 @@ def train_cascade(X, y, cfg: TrainConfig, first_layer: Optional[Tree] = None):
                 tree = first_layer
             else:
                 tree_seed = _derived_seed(cfg.seed, "cascade-layer", d)
-                tree = to_params(_Grower(current, y, layer_cfg, tree_seed).grow())
+                tree = _Grower(current, y, layer_cfg, tree_seed).grow()
             layers.append(tree)
             if d + 1 < cfg.cascade_depth:
                 predictions = evaluate_batch(tree, current)

@@ -6,14 +6,16 @@
     deepforest := (deepforest (classes INT+) forest+)
 
 Labels are integers, written "+1" and "-1" in the two-class theory core.
-Whitespace is insignificant; thresholds print with round-trip precision.
+Thresholds are finite reals and print with round-trip precision.
+Whitespace is insignificant. Reading, building and printing use explicit
+stacks, so any nesting depth parses and prints.
 """
 
 import math
 
 from .ensemble import CascadeForest, DeepTree, Forest
 from .errors import ArityError, LabelDomainError, ModelSyntaxError
-from .tree import Leaf, Node, Tree
+from .tree import Leaf, Node, Tree, render
 
 
 class _Token:
@@ -64,32 +66,27 @@ class _Form:
 
 
 def _read_forms(tokens: list[_Token]):
-    pos = 0
-
-    def read_one():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ModelSyntaxError("unexpected end of input", 0, 0)
-        tok = tokens[pos]
-        pos += 1
+    """The single top-level form; the stack holds the groups still open."""
+    stack: list = []
+    for pos, tok in enumerate(tokens):
         if tok.text == "(":
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise ModelSyntaxError("unclosed '('", tok.line, tok.column)
-                if tokens[pos].text == ")":
-                    pos += 1
-                    return _Form(items, tok.line, tok.column)
-                items.append(read_one())
+            stack.append(_Form([], tok.line, tok.column))
+            continue
         if tok.text == ")":
-            raise ModelSyntaxError("unexpected ')'", tok.line, tok.column)
-        return tok
-
-    root = read_one()
-    if pos != len(tokens):
-        extra = tokens[pos]
-        raise ModelSyntaxError(f"trailing input {extra.text!r}", extra.line, extra.column)
-    return root
+            if not stack:
+                raise ModelSyntaxError("unexpected ')'", tok.line, tok.column)
+            item = stack.pop()
+        else:
+            item = tok
+        if stack:
+            stack[-1].items.append(item)
+        elif pos + 1 < len(tokens):
+            extra = tokens[pos + 1]
+            raise ModelSyntaxError(f"trailing input {extra.text!r}", extra.line, extra.column)
+        else:
+            return item
+    opening = stack[-1]
+    raise ModelSyntaxError("unclosed '('", opening.line, opening.column)
 
 
 def _expect_form(obj, what):
@@ -122,27 +119,41 @@ def _parse_threshold(tok):
     if isinstance(tok, _Form):
         raise ModelSyntaxError("expected a threshold, got '('", tok.line, tok.column)
     try:
-        return float(tok.text)
+        value = float(tok.text)
     except ValueError:
         raise ModelSyntaxError(f"expected a threshold, got {tok.text!r}", tok.line, tok.column) from None
+    if not math.isfinite(value):
+        raise ModelSyntaxError(f"threshold must be finite, got {tok.text!r}", tok.line, tok.column)
+    return value
 
 
-def _build_tree(form) -> Tree:
-    head = _expect_form(form, "a tree form")
-    rest = form.items[1:]
-    if head == "leaf":
-        if len(rest) != 1:
-            raise ArityError(f"(leaf ...) takes 1 argument, got {len(rest)}", form.line, form.column)
-        return Leaf(_parse_label(rest[0]))
-    if head == "node":
-        if len(rest) != 4:
-            raise ArityError(f"(node ...) takes 4 arguments, got {len(rest)}", form.line, form.column)
-        feature = _parse_int(rest[0], "a feature index")
-        if feature < 1:
-            raise ModelSyntaxError(f"feature index must be >= 1, got {feature}", form.line, form.column)
-        threshold = _parse_threshold(rest[1])
-        return Node(feature, threshold, _build_tree(rest[2]), _build_tree(rest[3]))
-    raise ModelSyntaxError(f"unknown tree form {head!r}", form.line, form.column)
+def _build_tree(root) -> Tree:
+    """Check tree forms in pre-order, then build bottom-up from the reversed
+    pre-order: a node's two subtrees are the last two trees built."""
+    preorder: list = []  # a Leaf, or a node's (feature, threshold)
+    stack = [root]
+    while stack:
+        form = stack.pop()
+        head = _expect_form(form, "a tree form")
+        rest = form.items[1:]
+        if head == "leaf":
+            if len(rest) != 1:
+                raise ArityError(f"(leaf ...) takes 1 argument, got {len(rest)}", form.line, form.column)
+            preorder.append(Leaf(_parse_label(rest[0])))
+        elif head == "node":
+            if len(rest) != 4:
+                raise ArityError(f"(node ...) takes 4 arguments, got {len(rest)}", form.line, form.column)
+            feature = _parse_int(rest[0], "a feature index")
+            if feature < 1:
+                raise ModelSyntaxError(f"feature index must be >= 1, got {feature}", form.line, form.column)
+            preorder.append((feature, _parse_threshold(rest[1])))
+            stack += (rest[3], rest[2])
+        else:
+            raise ModelSyntaxError(f"unknown tree form {head!r}", form.line, form.column)
+    built: list = []
+    for item in reversed(preorder):
+        built.append(item if isinstance(item, Leaf) else Node(*item, built.pop(), built.pop()))
+    return built[0]
 
 
 def _build_forest(form) -> Forest:
@@ -202,11 +213,9 @@ def _format_threshold(value: float) -> str:
 
 
 def _print_tree(tree: Tree) -> str:
-    if isinstance(tree, Leaf):
-        return f"(leaf {_format_label(tree.label)})"
-    return (
-        f"(node {tree.feature} {_format_threshold(tree.threshold)} "
-        f"{_print_tree(tree.left)} {_print_tree(tree.right)})"
+    return render(
+        tree, lambda leaf: f"(leaf {_format_label(leaf.label)})",
+        lambda node: f"(node {node.feature} {_format_threshold(node.threshold)} ", " ", ")",
     )
 
 

@@ -1,15 +1,18 @@
-"""Binary decision trees as recursive parameter tuples.
+"""Binary decision trees and the one iterative walk every tree operation uses.
 
 A tree is either a Leaf carrying an integer class label or a Node with a
 1-based feature index, a real threshold (route left when x[feature] <=
-threshold), and two subtrees. The size of a tree counts the scalars of
-its flattened parameter tuple: one per leaf plus two per parent node,
-which is 3m + 1 for m parent nodes, or equivalently 3*(leaves - 1) + 1.
+threshold), and two subtrees. Trained nodes also carry their rows'
+majority label and their split order, which are not part of a model's
+identity. The size of a tree counts the scalars of its flattened
+parameter tuple: one per leaf plus two per parent node, which is 3m + 1
+for m parent nodes, or equivalently 3*(leaves - 1) + 1. Every walk uses
+an explicit stack, so no depth hits the interpreter's recursion limit.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -28,19 +31,68 @@ class Node:
     threshold: float
     left: "Tree"
     right: "Tree"
+    majority: Optional[int] = field(default=None, compare=False, repr=False)
+    order: Optional[int] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.feature < 1:
             raise FeatureOutOfRange(f"feature index must be >= 1, got {self.feature}")
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Node):
+            return NotImplemented
+        return _signature(self) == _signature(other)
+
+    def __hash__(self):
+        return hash(tuple(_signature(self)))
+
+    def __repr__(self):
+        return render(
+            self, repr, lambda n: f"Node(feature={n.feature!r}, threshold={n.threshold!r}, left=",
+            ", right=", ")",
+        )
+
 
 Tree = Union[Leaf, Node]
 
 
+def walk(tree: Tree) -> Iterator[tuple[Tree, int]]:
+    """(node, depth) of every node and leaf in pre-order (node, left, right)."""
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if isinstance(node, Node):
+            stack += ((node.right, depth + 1), (node.left, depth + 1))
+
+
+def _signature(tree: Tree) -> list:
+    """The pre-order (feature, threshold) / (label,) sequence print_model writes."""
+    return [
+        (node.feature, node.threshold) if isinstance(node, Node) else (node.label,)
+        for node, _ in walk(tree)
+    ]
+
+
+def render(tree: Tree, leaf: Callable, opening: Callable, between: str, closing: str) -> str:
+    """Text of a tree: leaf(leaf), or opening(node) left between right closing."""
+    parts, stack = [], [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append(leaf(item))
+        else:
+            parts.append(opening(item))
+            stack += (closing, item.right, between, item.left)
+    return "".join(parts)
+
+
 def leaf_count(tree: Tree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return leaf_count(tree.left) + leaf_count(tree.right)
+    return sum(isinstance(node, Leaf) for node, _ in walk(tree))
 
 
 def dim_from_leaves(leaves):
@@ -58,15 +110,11 @@ def dim_of(tree: Tree) -> int:
 
 def max_feature(tree: Tree) -> int:
     """Largest feature index referenced anywhere in the tree (0 for a leaf)."""
-    if isinstance(tree, Leaf):
-        return 0
-    return max(tree.feature, max_feature(tree.left), max_feature(tree.right))
+    return max((node.feature for node, _ in walk(tree) if isinstance(node, Node)), default=0)
 
 
 def tree_labels(tree: Tree) -> set:
-    if isinstance(tree, Leaf):
-        return {tree.label}
-    return tree_labels(tree.left) | tree_labels(tree.right)
+    return {node.label for node, _ in walk(tree) if isinstance(node, Leaf)}
 
 
 def evaluate_row(tree: Tree, row: list) -> int:
@@ -132,30 +180,27 @@ def region_size(bounds: Region) -> int:
     return size
 
 
-def leaf_regions(tree: Tree, space: LatticeSpace) -> list[tuple[Region, int]]:
+def leaf_regions(tree: Tree, space: LatticeSpace, cut=threshold_cut) -> list[tuple[Region, int]]:
     """Per-leaf hyperrectangles of lattice points, in left-to-right order.
 
     Regions are inclusive integer bounds per dimension; they partition the
-    lattice (a region may be empty when a split is vacuous over it).
+    lattice (a region may be empty when a split is vacuous over it). cut
+    maps a threshold to its integer cut; it may raise to reject one.
     """
     out: list[tuple[Region, int]] = []
-
-    def walk(node: Tree, bounds: list[tuple[int, int]]):
+    stack = [(tree, ((1, space.p),) * space.n)]
+    while stack:
+        node, bounds = stack.pop()
         if isinstance(node, Leaf):
-            out.append((tuple(bounds), node.label))
-            return
+            out.append((bounds, node.label))
+            continue
         if node.feature > space.n:
             raise FeatureOutOfRange(
                 f"tree reads feature {node.feature} but the lattice has n = {space.n}"
             )
         j = node.feature - 1
         lo, hi = bounds[j]
-        cut = threshold_cut(node.threshold)
-        bounds[j] = (lo, min(hi, cut))
-        walk(node.left, bounds)
-        bounds[j] = (max(lo, cut + 1), hi)
-        walk(node.right, bounds)
-        bounds[j] = (lo, hi)
-
-    walk(tree, [(1, space.p)] * space.n)
+        q = cut(node.threshold)
+        stack.append((node.right, bounds[:j] + ((max(lo, q + 1), hi),) + bounds[j + 1:]))
+        stack.append((node.left, bounds[:j] + ((lo, min(hi, q)),) + bounds[j + 1:]))
     return out

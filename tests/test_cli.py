@@ -1,4 +1,8 @@
+import numpy as np
+import pytest
+
 from deeptrees.cli import main
+from deeptrees.data_io import write_csv
 from deeptrees.sexpr import parse_model
 
 
@@ -139,3 +143,32 @@ def test_cli_error_paths(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_model_is_rejected(tmp_path, capsys, threshold):
+    model_path = tmp_path / "bad.sexp"
+    model_path.write_text(f"(node 1 {threshold} (leaf +1) (leaf -1))\n", encoding="utf-8")
+    data_path = tmp_path / "data.csv"
+    write_csv(np.array([[1.0], [2.0]]), np.array([1, -1]), data_path)
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path), "--data", str(data_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 1:9:")
+    code, _, err = run_cli(
+        capsys, "compile-tree", "--in", str(model_path), "--p", "4", "--n", "1",
+        "--out", str(tmp_path / "out.sexp"),
+    )
+    assert code == 1
+    assert err.startswith("error: 1:9:")
+
+
+def test_compile_tree_rejects_non_binary_labels(tmp_path, capsys):
+    source = tmp_path / "tree.sexp"
+    source.write_text("(node 1 2 (leaf 2) (leaf -1))\n", encoding="utf-8")
+    out_path = tmp_path / "out.sexp"
+    code, _, err = run_cli(
+        capsys, "compile-tree", "--in", str(source), "--p", "4", "--n", "1", "--out", str(out_path)
+    )
+    assert code == 1
+    assert err.startswith("error:") and "{-1, +1}" in err
+    assert not out_path.exists()

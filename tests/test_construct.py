@@ -10,12 +10,12 @@ from deeptrees.construct import (
     snap_threshold,
 )
 from deeptrees.ensemble import SizeBudget, model_dim, predict_batch
-from deeptrees.errors import NonLatticeThreshold
+from deeptrees.errors import FeatureOutOfRange, NonLatticeThreshold, PreconditionViolated
 from deeptrees.lattice import LatticeSpace, ParityConcept
 from deeptrees.rng import generator
-from deeptrees.tree import Leaf, Node, dim_of, leaf_count, region_size
+from deeptrees.tree import Leaf, Node, dim_of, evaluate_batch, leaf_count, region_size
 
-from test_tree import PARITY_2x2, random_tree
+from test_tree import PARITY_2x2, deep_chain, random_tree
 
 
 def _exact_parity(cascade, space):
@@ -171,3 +171,32 @@ def test_compile_minority_class_choice():
     assert (report["d_plus"], report["d_minus"]) == (2, 1)
     assert report["layers"] == 1
     assert report["compiled_dim"] == (6 * 2 + 4) * 1 - 3
+
+
+def test_extract_leaf_lists_error_order():
+    space = LatticeSpace(2, 4)
+    with pytest.raises(PreconditionViolated):
+        extract_leaf_lists(Node(1, 2.0, Leaf(2), Leaf(-1)), space)
+    # a bad feature or threshold anywhere wins over a bad label
+    with pytest.raises(FeatureOutOfRange):
+        extract_leaf_lists(Node(1, 2.0, Leaf(2), Node(3, 1.0, Leaf(1), Leaf(-1))), space)
+    with pytest.raises(NonLatticeThreshold):
+        extract_leaf_lists(Node(1, 2.0, Leaf(2), Node(2, 4.0, Leaf(1), Leaf(-1))), space)
+    # the first offending node in pre-order decides between the two
+    with pytest.raises(NonLatticeThreshold):
+        extract_leaf_lists(Node(1, 0.5, Leaf(1), Node(3, 1.0, Leaf(1), Leaf(-1))), space)
+    with pytest.raises(FeatureOutOfRange):
+        extract_leaf_lists(Node(3, 0.5, Leaf(1), Node(1, 0.5, Leaf(1), Leaf(-1))), space)
+
+
+def test_compile_deep_chain():
+    depth = 2000
+    space = LatticeSpace(1, depth + 1)
+    chain = deep_chain(depth)
+    leaves = extract_leaf_lists(chain, space)
+    assert (leaves.d_plus, leaves.d_minus) == (depth // 2 + 1, depth // 2)
+    compiled = compile_to_deeptree(chain, space)
+    assert compiled.depth == depth // 2
+    assert model_dim(compiled) == (6 * space.n + 4) * leaves.d_minus - 3
+    points = space.enumerate_points().astype(float)
+    assert np.array_equal(compiled.predict_batch(points), evaluate_batch(chain, points))

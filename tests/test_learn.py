@@ -11,7 +11,6 @@ from deeptrees.learn import (
     depth_labels,
     depth_leaf_counts,
     predict,
-    to_params,
     train_cascade,
     train_forest,
     train_forest_grown,
@@ -21,7 +20,16 @@ from deeptrees.learn import (
     truncate_leaves,
 )
 from deeptrees.rng import generator
-from deeptrees.tree import Leaf, Node, dim_from_leaves, evaluate_batch, leaf_count, max_feature
+from deeptrees.sexpr import parse_model, print_model
+from deeptrees.tree import (
+    Leaf,
+    Node,
+    dim_from_leaves,
+    evaluate_batch,
+    leaf_count,
+    max_feature,
+    walk,
+)
 
 PLAIN = TrainConfig(bootstrap=False, feature_subsample="all")
 
@@ -106,7 +114,7 @@ def test_truncate_depth_equals_retraining_with_subsampling():
     for depth in (1, 3, 5):
         cfg_d = TrainConfig(max_depth=depth, seed=3, n_trees=3, bootstrap=True, feature_subsample="sqrt")
         direct = train_forest_grown(X, y, cfg_d)
-        assert [truncate_depth(g, depth) for g in grown] == [to_params(g) for g in direct]
+        assert [truncate_depth(g, depth) for g in grown] == direct
 
 
 def _grown_corpus(seed):
@@ -338,3 +346,47 @@ def test_config_validation():
         TrainConfig(feature_subsample="half")
     with pytest.raises(ValueError):
         TrainConfig(augment_mode="prob")
+
+
+def test_alternating_labels_grow_a_chain_of_any_depth():
+    rows = 4000
+    X = np.arange(rows, dtype=np.float64)[:, None]
+    y = np.where(np.arange(rows) % 2 == 0, -1, 1)
+    tree = train_tree(X, y, PLAIN)
+    assert leaf_count(tree) == rows
+    assert max(depth for _, depth in walk(tree)) == rows - 1
+    assert np.array_equal(evaluate_batch(tree, X), y)
+    shallow = truncate_depth(tree, 10)
+    assert shallow == train_tree(X, y, TrainConfig(max_depth=10, bootstrap=False))
+    assert truncate_depth(tree, rows) == tree
+    sample = X[::397]
+    labels = depth_labels(tree, sample, rows - 1)
+    for budget in (0, 1, 10, rows // 2, rows - 1):
+        assert np.array_equal(labels[budget], evaluate_batch(truncate_depth(tree, budget), sample))
+    assert depth_leaf_counts(tree, rows - 1)[[0, 10, rows - 1]].tolist() == [1, 11, rows]
+
+
+def _trees(model):
+    if isinstance(model, (Leaf, Node)):
+        return [model]
+    members = getattr(model, "trees", None) or model.layers
+    return [tree for member in members for tree in _trees(member)]
+
+
+def test_trained_thresholds_are_python_floats():
+    X, y = random_data(31, rows=200, cols=4, classes=(0, 1, 2))
+    models = [
+        train_tree(X, y, PLAIN),
+        train_tree(X, y, TrainConfig(max_leaves=6, bootstrap=False)),
+        train_forest(X, y, TrainConfig(max_depth=4, n_trees=5, seed=2, feature_subsample="sqrt")),
+        train_cascade(X, y, TrainConfig(max_depth=3, cascade_depth=3, seed=4)),
+        train_cascade(
+            X, y, TrainConfig(max_depth=3, n_trees=3, cascade_depth=2, augment_mode="classvector")
+        ),
+    ]
+    for model in models:
+        nodes = [node for tree in _trees(model) for node, _ in walk(tree) if isinstance(node, Node)]
+        assert nodes
+        assert all(type(node.threshold) is float for node in nodes)
+        assert "np.float64" not in repr(nodes[0])
+        assert parse_model(print_model(model)) == model

@@ -7,7 +7,7 @@ from deeptrees.rng import generator
 from deeptrees.sexpr import parse_model, print_model
 from deeptrees.tree import Leaf, Node
 
-from test_tree import random_tree
+from test_tree import DEEP, deep_chain, random_tree
 
 
 def test_parse_leaf():
@@ -102,3 +102,26 @@ def test_empty_forms():
         parse_model("(cascade)")
     with pytest.raises(ModelSyntaxError):
         parse_model("(banana 1)")
+
+
+def test_roundtrip_deep_chain():
+    chain = deep_chain(DEEP)
+    text = print_model(chain)
+    assert text.startswith("(node 1 1.5 (leaf +1) (node 1 2.5 (leaf -1) ")
+    assert text.endswith("(leaf +1)" + ")" * DEEP)
+    parsed = parse_model(text)
+    assert parsed == chain
+    assert hash(parsed) == hash(chain)
+    assert print_model(parsed) == text
+    assert print_model(parse_model(f"(forest {text} {text})")) == f"(forest {text} {text})"
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "+inf", "Infinity"])
+def test_non_finite_threshold_rejected_at_its_token(token):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(f"(node 1 {token} (leaf +1) (leaf -1))")
+    assert (err.value.line, err.value.column) == (1, 9)
+    assert token in str(err.value)
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(f"(cascade (leaf -1)\n  (node 2 0.5 (leaf +1)\n    (node 1 {token} (leaf +1) (leaf -1))))")
+    assert (err.value.line, err.value.column) == (3, 13)

@@ -15,9 +15,25 @@ from deeptrees.tree import (
     max_feature,
     region_size,
     threshold_cut,
+    tree_labels,
+    walk,
 )
 
 STUMP = Node(1, 1.0, Leaf(-1), Leaf(+1))
+
+DEEP = 10_000  # far past the interpreter's default recursion limit
+
+
+def deep_chain(depth):
+    """Right-leaning chain over one feature, built bottom-up in a loop.
+
+    The split at depth k sends x1 <= k + 1.5 to a leaf labeled (-1)**k, so
+    integer x1 = k + 1 lands in that leaf and x1 > depth in the last one.
+    """
+    tree = Leaf(1)
+    for k in reversed(range(depth)):
+        tree = Node(1, k + 1.5, Leaf(-1 if k % 2 else 1), tree)
+    return tree
 
 # hand-built parity tree over [2]^2: split x1 then x2 in each half
 PARITY_2x2 = Node(
@@ -152,3 +168,39 @@ def test_leaf_regions_partition_random_trees():
 def test_negative_feature_index_rejected():
     with pytest.raises(FeatureOutOfRange):
         Node(0, 1.0, Leaf(1), Leaf(-1))
+
+
+def test_deep_chain_walks_without_recursion():
+    chain = deep_chain(DEEP)
+    assert leaf_count(chain) == DEEP + 1
+    assert dim_of(chain) == 3 * DEEP + 1
+    assert max_feature(chain) == 1
+    assert tree_labels(chain) == {-1, 1}
+    values = np.array([1.0, 2.0, DEEP - 1.0, DEEP, DEEP + 1.0])
+    expected = [1, -1, 1, -1, 1]
+    assert [evaluate(chain, (v,)) for v in values] == expected
+    assert evaluate_batch(chain, values[:, None]).tolist() == expected
+    regions = leaf_regions(chain, LatticeSpace(1, DEEP + 1))
+    assert [bounds for bounds, _ in regions] == [((v, v),) for v in range(1, DEEP + 2)]
+    assert [label for _, label in regions[:4]] == [1, -1, 1, -1]
+    assert chain == deep_chain(DEEP) and hash(chain) == hash(deep_chain(DEEP))
+    assert chain != deep_chain(DEEP - 1)
+    assert repr(chain).startswith("Node(feature=1, threshold=1.5, left=Leaf(label=1), right=Node(")
+
+
+def test_walk_is_preorder_with_depths():
+    order = [(getattr(node, "feature", None), getattr(node, "label", None), depth)
+             for node, depth in walk(PARITY_2x2)]
+    assert order == [
+        (1, None, 0), (2, None, 1), (None, 1, 2), (None, -1, 2),
+        (2, None, 1), (None, -1, 2), (None, 1, 2),
+    ]
+
+
+def test_training_annotations_are_not_identity():
+    plain = Node(1, 1.0, Leaf(-1), Leaf(1))
+    annotated = Node(1, 1.0, Leaf(-1), Leaf(1), majority=-1, order=0)
+    assert plain == annotated and hash(plain) == hash(annotated)
+    assert repr(annotated) == repr(plain)
+    assert Node(1, 1.0, Leaf(-1), Leaf(1)) != Node(1, 2.0, Leaf(-1), Leaf(1))
+    assert STUMP != Leaf(1) and Leaf(1) != STUMP
