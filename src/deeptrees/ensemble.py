@@ -10,7 +10,7 @@ of a single hard label.
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -179,12 +179,20 @@ class DeepTree:
             y = evaluate_row(layer, row)
         return int(y)
 
-    def predict_batch(self, X) -> np.ndarray:
+    def layer_predictions(self, X) -> Iterator[np.ndarray]:
+        """Labels after each layer, in order: item k - 1 is the prediction of
+        DeepTree(layers[:k]), so one pass scores every depth prefix."""
         X = np.asarray(X, dtype=np.float64)
         y = evaluate_batch(self.layers[0], X)
+        yield y
         for layer in self.layers[1:]:
             augmented = np.column_stack([X, y.astype(np.float64)])
             y = evaluate_batch(layer, augmented)
+            yield y
+
+    def predict_batch(self, X) -> np.ndarray:
+        for y in self.layer_predictions(X):
+            pass
         return y
 
 

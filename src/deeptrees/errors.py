@@ -42,6 +42,10 @@ class LabelDomainError(ModelSyntaxError):
     """A leaf label is not an integer class label."""
 
 
+class NonFiniteThreshold(DeepTreesError):
+    """A tree node's threshold is NaN or infinite."""
+
+
 class NonLatticeThreshold(DeepTreesError):
     """A threshold cannot be snapped to an integer cut between lattice values."""
 
@@ -76,6 +80,10 @@ class ChecksumMismatch(DeepTreesError):
 
 class UnreachableSource(DeepTreesError):
     """A dataset is neither cached nor downloadable."""
+
+
+class ConfigError(DeepTreesError, ValueError):
+    """An experiment configuration names an unknown or invalid setting."""
 
 
 class EmptyTable(DeepTreesError):

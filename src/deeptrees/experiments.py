@@ -7,8 +7,9 @@ wall-time column.
 """
 
 import configparser
+import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -22,7 +23,16 @@ from .analysis import (
 )
 from .construct import build_parity_deeptree, compile_report, compile_to_deeptree
 from .data_io import BUILTIN_MANIFESTS, SimulationSpec, fetch_dataset, generate_simulation
-from .ensemble import TIE_NEGATIVE, Forest, model_dim, predict_batch, resolve_votes, total_leaves
+from .ensemble import (
+    TIE_NEGATIVE,
+    DeepTree,
+    Forest,
+    model_dim,
+    predict_batch,
+    resolve_votes,
+    total_leaves,
+)
+from .errors import ConfigError
 from .lattice import LatticeSpace, ParityConcept, ProductDistribution, UniformDistribution
 from .learn import (
     TrainConfig,
@@ -57,6 +67,20 @@ UCI_COLUMNS = (
 )
 
 
+def parse_sim_model(name: str) -> tuple:
+    """(kind, size) of a sim model name: ("T", 1) for the single tree,
+    ("RF", width) for RF-<width>, ("DT", cascade depth) for DT-<depth>."""
+    if name == "T":
+        return ("T", 1)
+    match = re.fullmatch(r"(RF|DT)-([0-9]+)", name)
+    if match is None:
+        raise ConfigError(f"unknown simulation model {name!r}; expected T, RF-<width> or DT-<depth>")
+    size = int(match[2])
+    if size < 1:
+        raise ConfigError(f"simulation model {name!r}: width or cascade depth must be >= 1")
+    return (match[1], size)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -82,22 +106,31 @@ class ExperimentConfig:
     uci_df_widths: tuple = (25, 50, 100, 200, 400, 800)
     uci_tree_sizes: tuple = (8, 16, 32)
     cache_dir: Optional[Path] = None
+    # parse_sim_model of each sim_models name, in the same order
+    sim_specs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.experiment not in ("sim", "gini", "bounds", "uci"):
-            raise ValueError(f"unknown experiment id {self.experiment!r}")
+            raise ConfigError(f"unknown experiment id {self.experiment!r}")
         if self.scale not in ("desk", "paper"):
-            raise ValueError(f"unknown scale {self.scale!r}")
+            raise ConfigError(f"unknown scale {self.scale!r}")
         for grid_name in (
             "sim_ns", "sim_models", "sim_depths", "gini_ns", "gini_a_values",
             "uci_datasets", "uci_rf_widths", "uci_df_widths", "uci_tree_sizes",
         ):
             if not getattr(self, grid_name):
-                raise ValueError(f"{grid_name} must be a nonempty grid")
+                raise ConfigError(f"{grid_name} must be a nonempty grid")
         if min(self.sim_depths) < 0:
-            raise ValueError("sim_depths must be >= 0")
+            raise ConfigError("sim_depths must be >= 0")
         if min(self.uci_rf_widths) < 1:
-            raise ValueError("uci_rf_widths must be >= 1")
+            raise ConfigError("uci_rf_widths must be >= 1")
+        seen: dict = {}
+        for name in self.sim_models:
+            spec = parse_sim_model(name)
+            if spec in seen:
+                raise ConfigError(f"simulation model {name!r} repeats {seen[spec]!r}")
+            seen[spec] = name
+        object.__setattr__(self, "sim_specs", tuple(seen))
 
     @property
     def sample_count(self) -> int:
@@ -113,11 +146,14 @@ def _parse_ints(text: str) -> tuple:
         piece = piece.strip()
         if not piece:
             continue
-        if "-" in piece[1:]:
-            lo, hi = piece.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(piece))
+        try:
+            if "-" in piece[1:]:
+                lo, hi = piece.split("-", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(piece))
+        except ValueError:
+            raise ConfigError(f"expected an integer or a range a-b, got {piece!r}") from None
     return tuple(out)
 
 
@@ -210,15 +246,6 @@ def strip_wall_time(csv_text: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _accuracy_pair(model, data) -> tuple[float, float]:
-    train_pred = predict_batch(model, data.train_X)
-    test_pred = predict_batch(model, data.test_X)
-    return (
-        float(np.mean(train_pred == data.train_y)),
-        float(np.mean(test_pred == data.test_y)),
-    )
-
-
 def _sim_row(cfg, subject, model_name, depth, leaves, dim, accuracies, elapsed) -> dict:
     train_acc, test_acc = accuracies
     return {
@@ -246,57 +273,129 @@ def _vote_accuracy(classes, counts, X, y) -> float:
     return float(np.mean(resolve_votes(classes, counts.T, TIE_NEGATIVE, None, X) == y))
 
 
-def _budget_rows(cfg, subject, model_name, members, data, depths, grow_time) -> list:
-    """Rows of the majority vote over grown trees at every depth budget.
+def _width_prefixes(members, leaf_counts, splits, widths, budgets, member_labels) -> dict:
+    """Leaves, dims and accuracies of the majority vote over the first w
+    members, for every w in widths and every budget in budgets.
 
-    Each member is walked once per split by depth_labels and its label
-    matrix folded into per-budget class counts straight away, so one
-    member matrix is alive at a time; each budget's vote is then resolved
-    once. The deepest cell carries grow_time plus the scoring of all
-    budgets, the other cells 0.
+    Member t of a grown forest depends only on (seed, t), so its first w
+    members are the forest trained with n_trees=w. leaf_counts[t][b] is
+    member t's leaf count under budget b, and member_labels(member, X) its
+    (budget, row) label matrix, which is folded into running per-budget
+    class counts straight away, so one member matrix is alive at a time;
+    whenever t reaches a requested width each budget's vote is resolved
+    once. Returns {width: (leaves, dims, train accuracy, test accuracy)},
+    leaves and dims indexed by budget, the accuracies keyed by budget.
+    """
+    leaves = np.cumsum(leaf_counts, axis=0)
+    dims = np.cumsum(dim_from_leaves(np.asarray(leaf_counts)), axis=0)
+    classes = np.unique(splits[0][1])  # every grown label is a training label
+    accuracy: dict = {w: [] for w in widths}
+    for X, y in splits:
+        counts = np.zeros((len(classes), max(budgets) + 1, len(X)), dtype=np.int64)
+        for t, member in enumerate(members, start=1):
+            _add_votes(counts, member_labels(member, X), classes)
+            if t in accuracy:
+                accuracy[t].append(
+                    {b: _vote_accuracy(classes, counts[:, b], X, y) for b in budgets}
+                )
+    return {w: (leaves[w - 1], dims[w - 1], *accuracy[w]) for w in widths}
+
+
+def _splits(data) -> tuple:
+    return ((data.train_X, data.train_y), (data.test_X, data.test_y))
+
+
+def _vote_rows(cfg, subject, names, members, data, depths, grow_time) -> dict:
+    """Rows of every width prefix of grown members at every depth budget.
+
+    names maps each width to its model name. Each member is walked once per
+    split by depth_labels, which scores every depth at once. The widest
+    model's deepest cell carries grow_time plus all the scoring, the other
+    cells 0.
     """
     start = time.perf_counter()
     deepest = max(depths)
-    classes = np.unique(data.train_y)  # every grown label is a training label
-    member_leaves = np.array([depth_leaf_counts(g, deepest) for g in members])
-    leaves = member_leaves.sum(axis=0)
-    dims = dim_from_leaves(member_leaves).sum(axis=0)
-    accuracy = []  # per split, depth -> accuracy
-    for X, y in ((data.train_X, data.train_y), (data.test_X, data.test_y)):
-        counts = np.zeros((len(classes), deepest + 1, len(X)), dtype=np.int64)
-        for grown in members:
-            _add_votes(counts, depth_labels(grown, X, deepest), classes)
-        accuracy.append(
-            {depth: _vote_accuracy(classes, counts[:, depth], X, y) for depth in set(depths)}
-        )
-    train_accuracy, test_accuracy = accuracy
+    leaf_counts = [depth_leaf_counts(g, deepest) for g in members]
+    prefixes = _width_prefixes(
+        members, leaf_counts, _splits(data), names, set(depths),
+        lambda grown, X: depth_labels(grown, X, deepest),
+    )
     elapsed = grow_time + time.perf_counter() - start
-    return [
-        _sim_row(
-            cfg, subject, model_name, depth, int(leaves[depth]), int(dims[depth]),
-            (train_accuracy[depth], test_accuracy[depth]), elapsed if depth == deepest else 0.0,
+    widest = max(names)
+    rows: dict = {}
+    for width, name in names.items():
+        leaves, dims, train_accuracy, test_accuracy = prefixes[width]
+        rows[name] = [
+            _sim_row(
+                cfg, subject, name, depth, int(leaves[depth]), int(dims[depth]),
+                (train_accuracy[depth], test_accuracy[depth]),
+                elapsed if (width, depth) == (widest, deepest) else 0.0,
+            )
+            for depth in depths
+        ]
+    return rows
+
+
+def _cascade_rows(cfg, subject, names, tree_grown, data, depths) -> dict:
+    """Rows of every cascade-depth prefix of one label cascade per depth budget.
+
+    names maps each cascade depth k to its model name. Layer d of a label
+    cascade depends only on (seed, d) and the layers below it, so DT-k is
+    the first k layers of the deepest cascade, and layer_predictions scores
+    every prefix in one layered pass. At each depth the deepest DT row
+    carries the cascade's training, the shallower rows 0.
+    """
+    deepest_cascade = max(names)
+    rows: dict = {name: [] for name in names.values()}
+    for depth in depths:
+        cascade_cfg = TrainConfig(
+            max_depth=depth, seed=cfg.seed, cascade_depth=deepest_cascade, augment_mode="label"
         )
-        for depth in depths
-    ]
+        start = time.perf_counter()
+        first = truncate_depth(tree_grown, depth)
+        cascade = train_cascade(data.train_X, data.train_y, cascade_cfg, first_layer=first)
+        elapsed = time.perf_counter() - start
+        predictions = [
+            (list(cascade.layer_predictions(X)), y) for X, y in _splits(data)
+        ]
+        for k, name in names.items():
+            prefix = DeepTree(cascade.layers[:k])
+            accuracies = tuple(float(np.mean(labels[k - 1] == y)) for labels, y in predictions)
+            rows[name].append(
+                _sim_row(
+                    cfg, subject, name, depth, total_leaves(prefix), model_dim(prefix),
+                    accuracies, elapsed if k == deepest_cascade else 0.0,
+                )
+            )
+    return rows
 
 
 def run_simulation(cfg: ExperimentConfig) -> list:
     """Sweep (model kind, max depth) cells over the synthetic parity data.
 
-    A single greedy tree (T) and each forest member (RF-N) are grown once
-    at the deepest budget. Truncating a grown tree to depth d gives exactly
-    the tree a fresh run with that max_depth trains, so one walk of each
-    grown tree per split scores every depth at once (depth_labels), and
-    the leaf counts of every depth come from depth_leaf_counts. On T and
-    RF rows the deepest cell's wall_time carries the growth plus the
-    scoring of all depths, and the other cells carry 0. Cascade layers
-    past the first are retrained per depth because their inputs include
-    the previous layer's predictions at that depth; a DT row's wall_time
-    is that training alone.
+    Each n makes one pass. The single greedy tree (T) and the widest forest
+    are grown once at the deepest budget. Truncating a grown tree to depth
+    d gives exactly the tree a fresh run with that max_depth trains, since
+    a split depends only on its node's rows; and forest member t depends
+    only on (seed, t), so every narrower RF-N is a prefix of the widest
+    forest. One walk of each grown tree per split scores every depth
+    (depth_labels), running vote counts read off every width, and
+    depth_leaf_counts gives the leaf counts. At each depth one label
+    cascade of the largest DT depth is trained: its layer d depends only
+    on (seed, d) and the layers below, so every shallower DT-k is its
+    first k layers, scored in one layered pass.
+
+    Rows follow sim_models, then depth. wall_time: T's deepest cell carries
+    its growth plus scoring, the widest RF's deepest cell all forest
+    growth and scoring, and at each depth the deepest DT row the shared
+    cascade's training; every other cell carries 0.
     """
-    rows = []
     depths = sorted(cfg.sim_depths)
     deepest = max(depths)
+    names: dict = {"T": {}, "RF": {}, "DT": {}}  # kind -> {size: name}
+    for name, (kind, size) in zip(cfg.sim_models, cfg.sim_specs):
+        names[kind][size] = name
+    rows = []
     for n in cfg.sim_ns:
         spec = SimulationSpec(n=n, a=cfg.sim_a, sample_count=cfg.sample_count, seed=cfg.seed)
         data = generate_simulation(spec)
@@ -307,40 +406,26 @@ def run_simulation(cfg: ExperimentConfig) -> list:
         start = time.perf_counter()
         tree_grown = train_tree_grown(data.train_X, data.train_y, tree_cfg)
         tree_grow_time = time.perf_counter() - start
-        for model_name in cfg.sim_models:
-            if model_name == "T":
-                rows += _budget_rows(
-                    cfg, subject, model_name, (tree_grown,), data, depths, tree_grow_time
-                )
-            elif model_name.startswith("RF-"):
-                width = int(model_name.split("-", 1)[1])
-                forest_cfg = TrainConfig(
-                    max_depth=deepest, seed=cfg.seed, n_trees=width,
-                    bootstrap=True, feature_subsample="sqrt",
-                )
-                start = time.perf_counter()
-                members = train_forest_grown(data.train_X, data.train_y, forest_cfg)
-                grow_time = time.perf_counter() - start
-                rows += _budget_rows(cfg, subject, model_name, members, data, depths, grow_time)
-            elif model_name.startswith("DT-"):
-                cascade_depth = int(model_name.split("-", 1)[1])
-                for depth in depths:
-                    cascade_cfg = TrainConfig(
-                        max_depth=depth, seed=cfg.seed, cascade_depth=cascade_depth,
-                        augment_mode="label",
-                    )
-                    start = time.perf_counter()
-                    first = truncate_depth(tree_grown, depth)
-                    model = train_cascade(data.train_X, data.train_y, cascade_cfg, first_layer=first)
-                    elapsed = time.perf_counter() - start
-                    rows.append(
-                        _sim_row(
-                            cfg, subject, model_name, depth, total_leaves(model),
-                            model_dim(model), _accuracy_pair(model, data), elapsed,
-                        )
-                    )
-            else:
-                raise ValueError(f"unknown simulation model {model_name!r}")
+        by_model: dict = {}
+        if names["T"]:
+            by_model.update(
+                _vote_rows(cfg, subject, names["T"], (tree_grown,), data, depths, tree_grow_time)
+            )
+        if names["RF"]:
+            forest_cfg = TrainConfig(
+                max_depth=deepest, seed=cfg.seed, n_trees=max(names["RF"]),
+                bootstrap=True, feature_subsample="sqrt",
+            )
+            start = time.perf_counter()
+            members = train_forest_grown(data.train_X, data.train_y, forest_cfg)
+            grow_time = time.perf_counter() - start
+            by_model.update(
+                _vote_rows(cfg, subject, names["RF"], members, data, depths, grow_time)
+            )
+        if names["DT"]:
+            by_model.update(_cascade_rows(cfg, subject, names["DT"], tree_grown, data, depths))
+        for name in cfg.sim_models:
+            rows += by_model[name]
     return rows
 
 
@@ -686,28 +771,14 @@ def run_uci(cfg: ExperimentConfig) -> list:
             )
             start = time.perf_counter()
             grown = train_forest_grown(data.train_X, data.train_y, rf_cfg)
-            # member t depends only on (seed, t), so the first `width`
-            # members are the forest trained with n_trees=width: every
-            # width is read off one pass of running vote counts
-            classes = np.unique(data.train_y)
-            splits = ((data.train_X, data.train_y), (data.test_X, data.test_y))
-            counts = [np.zeros((len(classes), len(X)), dtype=np.int64) for X, _ in splits]
-            leaves = dim = 0
-            prefixes = {}
-            for t, member in enumerate(grown, start=1):
-                for (X, _), split_counts in zip(splits, counts):
-                    _add_votes(split_counts, evaluate_batch(member, X), classes)
-                member_leaves = leaf_count(member)
-                leaves += member_leaves
-                dim += dim_from_leaves(member_leaves)
-                if t in cfg.uci_rf_widths:
-                    prefixes[t] = (leaves, dim, tuple(
-                        _vote_accuracy(classes, split_counts, X, y)
-                        for (X, y), split_counts in zip(splits, counts)
-                    ))
+            # every width is a prefix of one grown forest, with one budget
+            prefixes = _width_prefixes(
+                grown, [[leaf_count(g)] for g in grown], _splits(data), cfg.uci_rf_widths,
+                (0,), lambda member, X: evaluate_batch(member, X)[None],
+            )
             elapsed = time.perf_counter() - start
             for width in cfg.uci_rf_widths:
-                leaves, dim, (train_acc, test_acc) = prefixes[width]
+                leaves, dims, train_acc, test_acc = prefixes[width]
                 rows.append(
                     {
                         "experiment": "uci",
@@ -716,10 +787,10 @@ def run_uci(cfg: ExperimentConfig) -> list:
                         "tree_size": size,
                         "width": width,
                         "total_trees": width,
-                        "total_leaves": leaves,
-                        "dim": dim,
-                        "train_accuracy": train_acc,
-                        "test_accuracy": test_acc,
+                        "total_leaves": int(leaves[0]),
+                        "dim": int(dims[0]),
+                        "train_accuracy": train_acc[0],
+                        "test_accuracy": test_acc[0],
                         "wall_time": round(elapsed if width == max(cfg.uci_rf_widths) else 0.0, 6),
                         "seed": cfg.seed,
                     }

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import FeatureOutOfRange
+from .errors import FeatureOutOfRange, NonFiniteThreshold
 from .lattice import LatticeSpace
 
 
@@ -37,13 +37,27 @@ class Node:
     def __post_init__(self):
         if self.feature < 1:
             raise FeatureOutOfRange(f"feature index must be >= 1, got {self.feature}")
+        if not math.isfinite(self.threshold):
+            raise NonFiniteThreshold(f"threshold must be finite, got {self.threshold!r}")
 
     def __eq__(self, other):
-        if self is other:
-            return True
+        """Same pre-order (feature, threshold) / (label,) sequence, compared in
+        lockstep on one explicit stack and stopping at the first mismatch."""
         if not isinstance(other, Node):
             return NotImplemented
-        return _signature(self) == _signature(other)
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, Leaf):
+                if not (isinstance(b, Leaf) and a.label == b.label):
+                    return False
+            elif isinstance(b, Node) and a.feature == b.feature and a.threshold == b.threshold:
+                stack += ((a.right, b.right), (a.left, b.left))
+            else:
+                return False
+        return True
 
     def __hash__(self):
         return hash(tuple(_signature(self)))
@@ -69,7 +83,8 @@ def walk(tree: Tree) -> Iterator[tuple[Tree, int]]:
 
 
 def _signature(tree: Tree) -> list:
-    """The pre-order (feature, threshold) / (label,) sequence print_model writes."""
+    """The pre-order (feature, threshold) / (label,) sequence print_model
+    writes; Node's hash reads it, so trees that compare equal hash equal."""
     return [
         (node.feature, node.threshold) if isinstance(node, Node) else (node.label,)
         for node, _ in walk(tree)

@@ -118,6 +118,22 @@ def test_experiment_and_plot_commands(tmp_path, capsys):
     assert list(plot_dir.glob("*.svg"))
 
 
+@pytest.mark.parametrize(
+    "line", ["models = T,XX", "models = T,RF-x", "models = T,RF-0", "models = T,DT-0",
+             "models = T,RF-3,RF-3", "depths = 1-x"],
+)
+def test_experiment_rejects_bad_sim_config(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[experiment]\nid = sim\n\n[sim]\nns = 2\n{line}\n", encoding="utf-8")
+    out_dir = tmp_path / "results"
+    code, out, err = run_cli(
+        capsys, "experiment", "sim", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_experiment_bounds_cli(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(

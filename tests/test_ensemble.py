@@ -157,6 +157,19 @@ def test_cascade_matches_manual_composition():
         assert cascade.predict(x) == y
 
 
+def test_layer_predictions_are_the_depth_prefixes():
+    rng = generator(6, "cascade-prefixes")
+    layers = [random_tree(rng, LatticeSpace(2, 4))]
+    layers += [random_tree(rng, LatticeSpace(3, 4)) for _ in range(3)]
+    cascade = DeepTree(tuple(layers))
+    X = rng.random((60, 2)) * 4 + 0.5
+    items = list(cascade.layer_predictions(X))
+    assert len(items) == len(layers)
+    for k, labels in enumerate(items, start=1):
+        assert labels.tolist() == DeepTree(tuple(layers[:k])).predict_batch(X).tolist()
+    assert cascade.predict_batch(X).tolist() == items[-1].tolist()
+
+
 def test_parity_cascade_exact_on_64_points():
     space = LatticeSpace(3, 4)
     cascade = build_parity_deeptree(4, 3)

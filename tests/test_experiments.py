@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from deeptrees.data_io import DatasetManifest, SourceFile
-from deeptrees.errors import EmptyTable
+from deeptrees.data_io import DatasetManifest, SimulationSpec, SourceFile, generate_simulation
+from deeptrees.ensemble import model_dim, total_leaves
+from deeptrees.errors import ConfigError, EmptyTable
 from deeptrees.experiments import (
     BOUNDS_COLUMNS,
     GINI_COLUMNS,
@@ -25,6 +26,7 @@ from deeptrees.experiments import (
     uniform_zero_gain_check,
     write_table,
 )
+from deeptrees.learn import TrainConfig, accuracy, train_cascade, train_forest, train_tree
 from deeptrees.plotting import render_plots
 
 
@@ -76,6 +78,20 @@ TINY_SIM_DIGESTS = {
     "sim.csv": "06f193e89b559489f619335eba2b1e4c1a018d5983bba8c05406a00f33da5c6d",
     "sim_summary.csv": "5b2235d45712eb37a6ab4f17b53b3e46d5ba2d189fa74fb96edcb3446012afa5",
 }
+# widths and cascade depths out of order, so that the narrower and shallower
+# models come after the ones whose prefixes they are
+PREFIX_SIM = dict(
+    experiment="sim",
+    sim_ns=(2,),
+    sim_models=("T", "RF-5", "RF-2", "DT-3", "DT-2"),
+    sim_depths=(3, 1, 2),
+    sim_sample_count=3000,
+)
+# recorded when every RF width was grown and every DT depth trained on its own
+PREFIX_SIM_DIGESTS = {
+    "sim.csv": "f123ca8a16cbae5e77f8c12655f3a89c92907d15bab9d47177c6b3874d411398",
+    "sim_summary.csv": "9be64591b20ef5f2a7b64fc9ff3ca7ad5b76de42468d564b5526904ab728d09a",
+}
 
 
 def _sha256(text):
@@ -88,7 +104,9 @@ def test_run_simulation_rows_and_determinism(tmp_path):
     assert len(rows) == 3 * 4
     assert {r["model"] for r in rows} == {"T", "DT-2", "RF-3"}
     for row in rows:
-        if row["model"] != "DT-2":  # the deepest cell carries growth and all scoring
+        if row["model"] == "DT-2":  # the only, so deepest, cascade carries its training
+            assert row["wall_time"] > 0.0
+        else:  # the deepest cell carries growth and all scoring
             assert (row["wall_time"] > 0.0) == (row["setting"] == "depth=4")
     table_a = write_table(rows, SIM_COLUMNS, tmp_path / "a" / "sim.csv")
     rows_b = run_simulation(ExperimentConfig(**TINY_SIM, out_dir=tmp_path / "b"))
@@ -99,36 +117,56 @@ def test_run_simulation_rows_and_determinism(tmp_path):
 
 
 def test_run_simulation_models_match_direct_training():
-    # the sweep's truncation reuse must match an honest per-depth train
-    from deeptrees.data_io import SimulationSpec, generate_simulation
-    from deeptrees.learn import TrainConfig, accuracy, train_cascade, train_forest, train_tree
-
-    cfg = ExperimentConfig(**TINY_SIM)
+    # every width and cascade-depth prefix must match an honest fresh train
+    cfg = ExperimentConfig(**PREFIX_SIM)
     rows = run_simulation(cfg)
-    spec = SimulationSpec(n=2, sample_count=3000, seed=cfg.seed)
-    data = generate_simulation(spec)
-    for depth in (1, 3):
-        t = train_tree(
-            data.train_X, data.train_y,
-            TrainConfig(max_depth=depth, bootstrap=False, feature_subsample="all"),
-        )
-        row = next(r for r in rows if r["model"] == "T" and r["setting"] == f"depth={depth}")
-        assert row["test_accuracy"] == accuracy(t, data.test_X, data.test_y)
-        f = train_forest(
-            data.train_X, data.train_y,
-            TrainConfig(
-                max_depth=depth, n_trees=3, seed=cfg.seed,
-                bootstrap=True, feature_subsample="sqrt",
-            ),
-        )
-        row = next(r for r in rows if r["model"] == "RF-3" and r["setting"] == f"depth={depth}")
-        assert row["test_accuracy"] == accuracy(f, data.test_X, data.test_y)
-        c = train_cascade(
-            data.train_X, data.train_y,
-            TrainConfig(max_depth=depth, cascade_depth=2, seed=cfg.seed),
-        )
-        row = next(r for r in rows if r["model"] == "DT-2" and r["setting"] == f"depth={depth}")
-        assert row["test_accuracy"] == accuracy(c, data.test_X, data.test_y)
+    assert [(r["model"], r["setting"]) for r in rows] == [
+        (model, f"depth={depth}") for model in PREFIX_SIM["sim_models"] for depth in (1, 2, 3)
+    ]
+    data = generate_simulation(SimulationSpec(n=2, sample_count=3000, seed=cfg.seed))
+    for depth in (1, 2, 3):
+        direct = {
+            "T": train_tree(
+                data.train_X, data.train_y,
+                TrainConfig(max_depth=depth, bootstrap=False, feature_subsample="all"),
+            )
+        }
+        for width in (5, 2):
+            direct[f"RF-{width}"] = train_forest(
+                data.train_X, data.train_y,
+                TrainConfig(
+                    max_depth=depth, n_trees=width, seed=cfg.seed,
+                    bootstrap=True, feature_subsample="sqrt",
+                ),
+            )
+        for k in (3, 2):
+            direct[f"DT-{k}"] = train_cascade(
+                data.train_X, data.train_y,
+                TrainConfig(max_depth=depth, cascade_depth=k, seed=cfg.seed),
+            )
+        for name, model in direct.items():
+            row = next(r for r in rows if r["model"] == name and r["setting"] == f"depth={depth}")
+            assert (row["total_leaves"], row["dim"]) == (total_leaves(model), model_dim(model))
+            assert row["train_accuracy"] == accuracy(model, data.train_X, data.train_y)
+            assert row["test_accuracy"] == accuracy(model, data.test_X, data.test_y)
+
+
+def test_run_simulation_prefix_digests_and_wall_time(tmp_path):
+    written = run_experiment(ExperimentConfig(**PREFIX_SIM, out_dir=tmp_path))
+    table = written["table"].read_text(encoding="utf-8")
+    assert _sha256(strip_wall_time(table)) == PREFIX_SIM_DIGESTS["sim.csv"]
+    summary = written["summary"].read_text(encoding="utf-8")
+    assert _sha256(summary) == PREFIX_SIM_DIGESTS["sim_summary.csv"]
+    header = table.splitlines()[0].split(",")
+    cells = [dict(zip(header, line.split(","))) for line in table.splitlines()[1:]]
+    for cell in cells:
+        carries = float(cell["wall_time"]) > 0.0
+        if cell["model"] in ("T", "RF-5"):  # the widest RF's deepest cell carries all RF work
+            assert carries == (cell["setting"] == "depth=3")
+        elif cell["model"] == "DT-3":  # the deepest DT carries each depth's shared cascade
+            assert carries
+        else:
+            assert not carries
 
 
 def test_run_experiment_sim_writes_tables_then_plots(tmp_path):
@@ -313,6 +351,25 @@ def test_config_validation():
         ExperimentConfig(experiment="sim", sim_depths=(-1, 3))
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="uci", uci_rf_widths=(0, 4))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(sim_models=models) for models in (
+        ("T", "XX"), ("T", "RF-x"), ("T", "RF-0"), ("T", "DT-0"), ("RF-", "T"), ("rf-3",),
+        ("T", "RF-3 "), ("RF-3", "DT-2", "RF-3"), ("RF-3", "RF-03"), ("T", "T"),
+    )] + [dict(sim_depths=(-1, 3)), dict(uci_rf_widths=(0, 4)), dict(scale="galactic")],
+    ids=lambda bad: ",".join(f"{key}={value}" for key, value in bad.items()),
+)
+def test_bad_config_rejected_with_config_error(bad):
+    with pytest.raises(ConfigError) as caught:
+        ExperimentConfig(experiment="sim", **bad)
+    assert isinstance(caught.value, ValueError)  # callers catching ValueError still do
+
+
+def test_sim_specs_follow_sim_models():
+    cfg = ExperimentConfig(experiment="sim", sim_models=("RF-29", "T", "DT-4", "RF-9"))
+    assert cfg.sim_specs == (("RF", 29), ("T", 1), ("DT", 4), ("RF", 9))
 
 
 def test_plot_carries_one_series_per_model(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from deeptrees.errors import FeatureOutOfRange
+from deeptrees.construct import compile_to_deeptree
+from deeptrees.errors import DeepTreesError, FeatureOutOfRange, NonFiniteThreshold
 from deeptrees.lattice import LatticeSpace, ParityConcept
 from deeptrees.rng import generator
 from deeptrees.tree import (
@@ -168,6 +169,42 @@ def test_leaf_regions_partition_random_trees():
 def test_negative_feature_index_rejected():
     with pytest.raises(FeatureOutOfRange):
         Node(0, 1.0, Leaf(1), Leaf(-1))
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_threshold_rejected(threshold):
+    with pytest.raises(NonFiniteThreshold):
+        Node(1, threshold, Leaf(1), Leaf(-1))
+    with pytest.raises(DeepTreesError):
+        compile_to_deeptree(Node(1, threshold, Leaf(1), Leaf(-1)), LatticeSpace(1, 4))
+
+
+class _Unreadable(Leaf):
+    """A leaf whose label raises when read; built without __init__."""
+
+    @property
+    def label(self):
+        raise AssertionError("compared past the first mismatch")
+
+
+def test_equality_stops_at_the_first_mismatch():
+    # the left subtrees differ at their root, which is compared before the
+    # right subtrees, whose labels cannot be read
+    a = Node(1, 5.0, Node(2, 1.0, Leaf(1), Leaf(-1)), object.__new__(_Unreadable))
+    b = Node(1, 5.0, Node(2, 2.0, Leaf(1), Leaf(-1)), object.__new__(_Unreadable))
+    assert a != b
+    differing = [
+        Node(2, 1.0, PARITY_2x2.left, PARITY_2x2.right),  # root feature
+        Node(1, 1.5, PARITY_2x2.left, PARITY_2x2.right),  # root threshold
+        Node(1, 1.0, PARITY_2x2.left, Node(2, 1.0, Leaf(-1), Leaf(-1))),  # a right leaf label
+        Node(1, 1.0, PARITY_2x2.left, Leaf(1)),  # a node against a leaf
+        Node(1, 1.0, Leaf(1), PARITY_2x2.right),  # a leaf against a node
+    ]
+    for other in differing:
+        assert PARITY_2x2 != other and other != PARITY_2x2
+    same = Node(1, 1, Node(2, 1.0, Leaf(1), Leaf(-1)), Node(2, 1.0, Leaf(-1), Leaf(1)))
+    assert same == PARITY_2x2 and hash(same) == hash(PARITY_2x2)
+    assert (PARITY_2x2 == "tree") is False
 
 
 def test_deep_chain_walks_without_recursion():
