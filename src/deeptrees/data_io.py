@@ -109,6 +109,12 @@ def label_from_raw(x, p: int, tie_rng: Optional[np.random.Generator] = None) -> 
     return 1 - 2 * (int(nearest.sum()) & 1)
 
 
+def split_sizes(sample_count: int, split_fraction: float = 0.7) -> tuple[int, int]:
+    """(train, test) row counts of generate_simulation's shuffled split."""
+    n_train = int(round(split_fraction * sample_count))
+    return n_train, sample_count - n_train
+
+
 def generate_simulation(spec: SimulationSpec) -> LabeledDataset:
     """Noisy parity dataset with a seeded 70/30-style shuffle split."""
     dist = simulation_distribution(spec)
@@ -117,7 +123,7 @@ def generate_simulation(spec: SimulationSpec) -> LabeledDataset:
     X = points.astype(np.float64) + noise
     y = 1 - 2 * (points.sum(axis=1) & 1)
     perm = generator(spec.seed, "simulation.split").permutation(spec.sample_count)
-    n_train = int(round(spec.split_fraction * spec.sample_count))
+    n_train, _ = split_sizes(spec.sample_count, spec.split_fraction)
     return LabeledDataset(
         X=X,
         y=y,
@@ -156,19 +162,34 @@ def write_csv(X, y, path, feature_names=None):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _require_finite(X: np.ndarray, line_nos: list, where: str = ""):
+    """MalformedRow at the file line of the first NaN or infinite feature."""
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        row, j = bad[0]
+        raise MalformedRow(
+            f"{where}feature {j + 1} is {float(X[row, j])!r}; features must be finite",
+            line_nos[row],
+        )
+
+
 def read_csv(path):
-    """(X, y, feature_names) from a file written by write_csv."""
+    """(X, y, feature_names) from a file written by write_csv.
+
+    Errors carry the file's own line number; blank lines are skipped.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise EmptyDataset(f"{path} holds no rows")
-    header = lines[0].split(",")
+    header_no, header_line = lines[0]
+    header = header_line.split(",")
     if header[-1] != "label":
-        raise MalformedRow("header must end with 'label'", 1)
+        raise MalformedRow("header must end with 'label'", header_no)
     width = len(header) - 1
     rows = []
     labels = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != width + 1:
             raise MalformedRow(f"expected {width + 1} fields, got {len(parts)}", line_no)
@@ -179,7 +200,9 @@ def read_csv(path):
             raise MalformedRow(str(exc), line_no) from None
     if not rows:
         raise EmptyDataset(f"{path} holds no data rows")
-    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64), header[:-1]
+    X = np.array(rows, dtype=np.float64)
+    _require_finite(X, [line_no for line_no, _ in lines[1:]])
+    return X, np.array(labels, dtype=np.int64), header[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +311,7 @@ def _ensure_file(source: SourceFile, dataset_dir: Path, offline: bool) -> Path:
 def _parse_rows(path: Path, manifest: DatasetManifest):
     rows = []
     raw_labels = []
+    line_nos = []
     lines = path.read_text(encoding="utf-8").splitlines()
     for line_no, line in enumerate(lines, start=1):
         if line_no <= manifest.skip_lines or not line.strip():
@@ -308,6 +332,8 @@ def _parse_rows(path: Path, manifest: DatasetManifest):
         except ValueError as exc:
             raise MalformedRow(f"{path.name}: {exc}", line_no) from None
         raw_labels.append(label)
+        line_nos.append(line_no)
+    _require_finite(np.array(rows, dtype=np.float64), line_nos, f"{path.name}: ")
     return rows, raw_labels
 
 

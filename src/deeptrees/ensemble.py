@@ -5,18 +5,24 @@ every later layer reads the raw features plus one augmented feature
 holding the previous layer's label as a float. A cascade forest stacks
 forests the same way but augments with per-class vote fractions instead
 of a single hard label.
+
+Single-row queries (predict) route through one tree.split_table per
+forest or deep tree, a flat table of every member's or layer's splits.
+It is built by the first point query and cached on the model; it is not
+a dataclass field, so equality, hashing and repr never see it, and models
+that only ever answer batch queries never build one.
 """
 
 import hashlib
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import FeatureOutOfRange, SizeBudgetExceeded
 from .rng import generator
-from .tree import Leaf, Node, Tree, dim_of, evaluate_batch, evaluate_row, leaf_count, max_feature
+from .tree import Leaf, Node, Tree, dim_of, evaluate_batch, leaf_count, max_feature, split_table
 
 TIE_NEGATIVE = "negative"  # lowest tied label; the reproducible default
 TIE_POSITIVE = "positive"  # highest tied label
@@ -98,8 +104,6 @@ class Forest:
     tie_rule: str = TIE_NEGATIVE
     tie_seed: Optional[int] = None
     ambient_dim: Optional[int] = None
-    # largest feature any member reads; a narrower input row is rejected
-    max_feature: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
@@ -110,32 +114,51 @@ class Forest:
         if self.ambient_dim is not None:
             for tree in self.trees:
                 _require_budget(tree, self.ambient_dim, "forest member")
-        object.__setattr__(self, "max_feature", max(max_feature(t) for t in self.trees))
 
     def member_predictions(self, X) -> np.ndarray:
         """(n_trees, m) label matrix."""
         return np.stack([evaluate_batch(tree, X) for tree in self.trees])
 
-    def _row_votes(self, x: np.ndarray) -> Counter:
-        """Member votes on one float64 row, each member routing it to one leaf."""
-        if x.ndim != 1:
-            raise ValueError("expected a 1-d input row")
-        if self.max_feature > x.shape[0]:
-            raise FeatureOutOfRange(
-                f"forest reads feature {self.max_feature} but input has width {x.shape[0]}"
-            )
-        row = x.tolist()
-        return Counter(evaluate_row(tree, row) for tree in self.trees)
+    @cached_property
+    def _table(self) -> tuple:
+        """split_table of the members and the largest feature they read,
+        built by the first point query."""
+        table = split_table(self.trees)
+        return table, max(table[0], default=-1) + 1
+
+    def _require_width(self, width: int):
+        """A row narrower than any member reads is rejected, reached or not."""
+        widest = self._table[1]
+        if widest > width:
+            raise FeatureOutOfRange(f"forest reads feature {widest} but input has width {width}")
+
+    def _member_votes(self, row: list) -> tuple:
+        """(labels, vote counts) on one row of Python floats: each member's
+        root is walked down to its leaf."""
+        (features, thresholds, lefts, rights, roots, labels), _ = self._table
+        votes = [0] * len(labels)
+        for c in roots:
+            while c >= 0:
+                c = lefts[c] if row[features[c]] <= thresholds[c] else rights[c]
+            votes[~c] += 1
+        return labels, votes
+
+    def _majority(self, row: list) -> int:
+        """Vote on one width-checked row; the tie rule sees tied rows only."""
+        labels, votes = self._member_votes(row)
+        best = max(votes)
+        if votes.count(best) == 1:
+            return labels[votes.index(best)]
+        tied = [label for label, count in zip(labels, votes) if count == best]
+        return _break_tie(tied, self.tie_rule, self.tie_seed, row)
 
     def predict(self, x) -> int:
-        """Vote of the members on a single row; the tie rule sees tied rows only."""
+        """Vote of the members on a single row."""
         x = np.asarray(x, dtype=np.float64)
-        votes = self._row_votes(x)
-        best = max(votes.values())
-        tied = [label for label, count in votes.items() if count == best]
-        if len(tied) == 1:
-            return int(tied[0])
-        return _break_tie(tied, self.tie_rule, self.tie_seed, x)
+        if x.ndim != 1:
+            raise ValueError("expected a 1-d input row")
+        self._require_width(x.shape[0])
+        return self._majority(x.tolist())
 
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -170,14 +193,30 @@ class DeepTree:
     def depth(self) -> int:
         return len(self.layers)
 
+    @cached_property
+    def _table(self) -> tuple:
+        """split_table of the layers and the narrowest raw row they can
+        read (later layers also read feature n+1), built by the first
+        point query."""
+        later = max((max_feature(layer) for layer in self.layers[1:]), default=0)
+        return split_table(self.layers), max(max_feature(self.layers[0]), later - 1)
+
     def predict(self, x) -> int:
-        row = np.asarray(x, dtype=np.float64).tolist()
-        y = evaluate_row(self.layers[0], row)
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1:
+            raise ValueError("expected a 1-d input row")
+        (features, thresholds, lefts, rights, roots, labels), min_width = self._table
+        if min_width > x.shape[0]:
+            raise FeatureOutOfRange(
+                f"deep tree needs input width {min_width} but input has width {x.shape[0]}"
+            )
+        row = x.tolist()
         row.append(0.0)  # feature n+1: the previous layer's label
-        for layer in self.layers[1:]:
-            row[-1] = float(y)
-            y = evaluate_row(layer, row)
-        return int(y)
+        for c in roots:
+            while c >= 0:
+                c = lefts[c] if row[features[c]] <= thresholds[c] else rights[c]
+            row[-1] = float(labels[~c])
+        return labels[~c]
 
     def layer_predictions(self, X) -> Iterator[np.ndarray]:
         """Labels after each layer, in order: item k - 1 is the prediction of
@@ -228,15 +267,22 @@ class CascadeForest:
         return self.layers[-1].predict_batch(self.augmented_inputs(X, len(self.layers) - 1))
 
     def predict(self, x) -> int:
-        """Single-row prediction; each layer's vote fractions are count / n_trees,
-        the same float64 values as vote_fractions' mean of a bool column."""
+        """Single-row prediction on Python lists; each layer's vote fractions
+        are count / n_trees, the same float64 values as vote_fractions' mean
+        of a bool column."""
         x = np.asarray(x, dtype=np.float64)
-        current = x
+        if x.ndim != 1:
+            raise ValueError("expected a 1-d input row")
+        raw = x.tolist()
+        row = raw
         for layer in self.layers[:-1]:
-            votes = layer._row_votes(current)
+            layer._require_width(len(row))
+            votes = dict(zip(*layer._member_votes(row)))
             n_trees = len(layer.trees)
-            current = np.append(x, [votes[c] / n_trees for c in self.classes])
-        return self.layers[-1].predict(current)
+            row = raw + [votes.get(c, 0) / n_trees for c in self.classes]
+        last = self.layers[-1]
+        last._require_width(len(row))
+        return last._majority(row)
 
 
 def model_dim(model) -> int:

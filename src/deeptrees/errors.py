@@ -46,6 +46,16 @@ class NonFiniteThreshold(DeepTreesError):
     """A tree node's threshold is NaN or infinite."""
 
 
+class NonFiniteFeature(DeepTreesError):
+    """A training row holds a NaN or infinite feature value; carries the
+    0-based row and the 1-based feature."""
+
+    def __init__(self, message, row, feature):
+        super().__init__(message)
+        self.row = row
+        self.feature = feature
+
+
 class NonLatticeThreshold(DeepTreesError):
     """A threshold cannot be snapped to an integer cut between lattice values."""
 

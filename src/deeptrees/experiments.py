@@ -22,7 +22,13 @@ from .analysis import (
     risk_report,
 )
 from .construct import build_parity_deeptree, compile_report, compile_to_deeptree
-from .data_io import BUILTIN_MANIFESTS, SimulationSpec, fetch_dataset, generate_simulation
+from .data_io import (
+    BUILTIN_MANIFESTS,
+    SimulationSpec,
+    fetch_dataset,
+    generate_simulation,
+    split_sizes,
+)
 from .ensemble import (
     TIE_NEGATIVE,
     DeepTree,
@@ -120,8 +126,19 @@ class ExperimentConfig:
         ):
             if not getattr(self, grid_name):
                 raise ConfigError(f"{grid_name} must be a nonempty grid")
+        if min(self.sim_ns) < 1:
+            raise ConfigError("sim_ns must be >= 1")
         if min(self.sim_depths) < 0:
             raise ConfigError("sim_depths must be >= 0")
+        for grid_name in ("sim_ns", "sim_depths"):
+            grid = getattr(self, grid_name)
+            if len(set(grid)) < len(grid):
+                raise ConfigError(f"{grid_name} repeats an entry: {grid}")
+        if min(split_sizes(self.sample_count)) < 1:
+            raise ConfigError(
+                f"sim_sample_count {self.sample_count} leaves the 70/30 train or test "
+                "split empty; it needs at least 2 samples"
+            )
         if min(self.uci_rf_widths) < 1:
             raise ConfigError("uci_rf_widths must be >= 1")
         seen: dict = {}

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import CascadeForest, DeepTree, Forest, predict_batch
-from .errors import EmptyDataset, FeatureOutOfRange
+from .errors import EmptyDataset, FeatureOutOfRange, NonFiniteFeature
 from .rng import generator, seed_sequence
 from .tree import Leaf, Node, Tree, evaluate_batch, walk
 
@@ -196,6 +196,12 @@ class _Grower:
         if len(X) == 0:
             raise EmptyDataset("cannot train on an empty dataset")
         self.X = np.asarray(X, dtype=np.float64)
+        if not np.isfinite(self.X).all():
+            row, f = (int(v) for v in np.argwhere(~np.isfinite(self.X))[0])
+            raise NonFiniteFeature(
+                f"row {row} feature {f + 1} is {float(self.X[row, f])!r}; "
+                "training needs finite features", row, f + 1,
+            )
         y = np.asarray(y, dtype=np.int64)
         self.classes = np.unique(y)
         self.y_codes = np.searchsorted(self.classes, y)

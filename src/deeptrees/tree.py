@@ -8,6 +8,11 @@ identity. The size of a tree counts the scalars of its flattened
 parameter tuple: one per leaf plus two per parent node, which is 3m + 1
 for m parent nodes, or equivalently 3*(leaves - 1) + 1. Every walk uses
 an explicit stack, so no depth hits the interpreter's recursion limit.
+
+Single-row queries on ensembles do not chase Node objects: split_table
+compiles a sequence of trees into parallel flat lists (feature,
+threshold, left child, right child per split, one root per tree), and a
+row is routed by a tight loop over those lists.
 """
 
 import math
@@ -132,13 +137,15 @@ def tree_labels(tree: Tree) -> set:
     return {node.label for node, _ in walk(tree) if isinstance(node, Leaf)}
 
 
-def evaluate_row(tree: Tree, row: list) -> int:
-    """Route one row, given as a list of Python floats, to its leaf label.
+def evaluate(tree: Tree, x) -> int:
+    """Route a single input vector to its leaf label.
 
-    Point queries convert their row once with ``tolist()`` and compare on
-    Python floats, which are the same float64 values without the per-node
-    cost of indexing a numpy array.
+    The row is converted once with ``tolist()`` and compared on Python
+    floats, which are the same float64 values without the per-node cost of
+    indexing a numpy array. Ensembles route their point queries through a
+    split_table instead, compiled once per model.
     """
+    row = np.asarray(x, dtype=np.float64).tolist()
     width = len(row)
     while isinstance(tree, Node):
         if tree.feature > width:
@@ -149,9 +156,35 @@ def evaluate_row(tree: Tree, row: list) -> int:
     return tree.label
 
 
-def evaluate(tree: Tree, x) -> int:
-    """Route a single input vector to its leaf label."""
-    return evaluate_row(tree, np.asarray(x, dtype=np.float64).tolist())
+def split_table(trees) -> tuple:
+    """Flat routing table of a sequence of trees, for single-row queries.
+
+    Returns (features, thresholds, lefts, rights, roots, labels). Split s
+    sends a row left to lefts[s] when row[features[s]] <= thresholds[s]
+    (a 0-based feature, a Python-float threshold) and right to rights[s]
+    otherwise, so a NaN feature goes right, as in evaluate_batch. roots
+    holds one entry per tree and labels the ascending leaf labels. A child
+    or root c >= 0 is split c; c < 0 is the leaf labels[~c]. Splits are
+    numbered in pre-order, tree after tree, on one explicit stack.
+    """
+    labels = tuple(sorted({int(label) for tree in trees for label in tree_labels(tree)}))
+    leaf_ref = {label: ~i for i, label in enumerate(labels)}
+    features, thresholds, lefts, rights, roots = [], [], [], [], []
+    for tree in trees:
+        stack = [(tree, roots, len(roots))]
+        roots.append(None)
+        while stack:
+            node, slots, slot = stack.pop()
+            if isinstance(node, Leaf):
+                slots[slot] = leaf_ref[node.label]
+                continue
+            s = slots[slot] = len(features)
+            features.append(node.feature - 1)
+            thresholds.append(float(node.threshold))
+            lefts.append(None)
+            rights.append(None)
+            stack += ((node.right, rights, s), (node.left, lefts, s))
+    return features, thresholds, lefts, rights, roots, labels
 
 
 def evaluate_batch(tree: Tree, X) -> np.ndarray:

@@ -120,11 +120,12 @@ def test_experiment_and_plot_commands(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line", ["models = T,XX", "models = T,RF-x", "models = T,RF-0", "models = T,DT-0",
-             "models = T,RF-3,RF-3", "depths = 1-x"],
+             "models = T,RF-3,RF-3", "depths = 1-x", "ns = 0", "ns = 2,2", "depths = 2,2",
+             "sample_count = 1"],
 )
 def test_experiment_rejects_bad_sim_config(tmp_path, capsys, line):
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text(f"[experiment]\nid = sim\n\n[sim]\nns = 2\n{line}\n", encoding="utf-8")
+    cfg.write_text(f"[experiment]\nid = sim\n\n[sim]\n{line}\n", encoding="utf-8")
     out_dir = tmp_path / "results"
     code, out, err = run_cli(
         capsys, "experiment", "sim", "--config", str(cfg), "--out", str(out_dir)
@@ -132,6 +133,16 @@ def test_experiment_rejects_bad_sim_config(tmp_path, capsys, line):
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "Traceback" not in err
     assert not out_dir.exists()
+
+
+def test_train_rejects_non_finite_csv(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("f1,label\n1.0,1\nnan,-1\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "train", "--model", "tree", "--data", str(data), "--out", str(tmp_path / "m.sexp")
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 3:")
 
 
 def test_experiment_bounds_cli(tmp_path, capsys):

@@ -265,3 +265,37 @@ def test_spec_validation():
         SimulationSpec(n=2, distribution="gauss")
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((3, 2)), np.zeros(2), np.arange(2), np.arange(1))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_csv_rejects_non_finite_features(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f1,f2,label\n1.0,2.0,1\n\n3.0,{value},-1\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as err:
+        read_csv(path)
+    assert err.value.line == 4
+    assert "feature 2" in str(err.value)
+
+
+def test_csv_errors_carry_the_file_line_number(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("f1,label\n\n1.0,1\n\n2.0,maybe\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as err:
+        read_csv(path)
+    assert err.value.line == 5
+    path.write_text("\n\nf1,notlabel\n1.0,1\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as err:
+        read_csv(path)
+    assert err.value.line == 3
+    path.write_text("\nf1,label\n\n\n1.0,1,2\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as err:
+        read_csv(path)
+    assert err.value.line == 5
+
+
+def test_fetch_rejects_non_finite_features(tmp_path):
+    manifest = _local_manifest(tmp_path, text="1.0,2.0,0\n\ninf,4.0,1\n")
+    with pytest.raises(MalformedRow) as err:
+        fetch_dataset(manifest, cache_dir=tmp_path / "cache")
+    assert err.value.line == 3
+    assert "toy.train" in str(err.value) and "feature 1" in str(err.value)

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from deeptrees import ensemble
 from deeptrees.construct import build_parity_deeptree
 from deeptrees.ensemble import (
     TIE_NEGATIVE,
@@ -12,6 +15,7 @@ from deeptrees.ensemble import (
     SizeBudget,
     _break_tie,
     model_dim,
+    predict_batch,
     resolve_votes,
     total_leaves,
 )
@@ -19,9 +23,10 @@ from deeptrees.errors import FeatureOutOfRange, SizeBudgetExceeded
 from deeptrees.lattice import LatticeSpace, ParityConcept
 from deeptrees.learn import TrainConfig, train_cascade, train_forest
 from deeptrees.rng import generator
-from deeptrees.tree import Leaf, Node, evaluate, evaluate_batch
+from deeptrees.sexpr import parse_model, print_model
+from deeptrees.tree import Leaf, Node, evaluate, evaluate_batch, split_table
 
-from test_tree import PARITY_2x2, random_tree
+from test_tree import DEEP, PARITY_2x2, deep_chain, random_tree
 
 
 def test_majority_vote():
@@ -259,3 +264,219 @@ def test_deeptree_point_query_rejects_narrow_rows():
     with pytest.raises(FeatureOutOfRange):
         DeepTree((Node(3, 0.0, Leaf(1), Leaf(-1)),)).predict([0.0, 0.0])
     assert DeepTree((Leaf(-1), Node(3, 0.0, Leaf(1), Leaf(-1)))).predict([0.0, 0.0]) == 1
+
+
+# ---------------------------------------------------------------------------
+# single-row routing through the split table
+# ---------------------------------------------------------------------------
+
+TIE_RULES = (TIE_NEGATIVE, TIE_POSITIVE, TIE_SEEDED)
+MODEL_KINDS = ("forest", "deeptree", "cascade")
+LABEL_SETS = ((-1, 1), (0, 1, 2), (-7, -2, 3, 10), (2, 5, 11, 40, 41))
+N_RAW = 3
+
+
+def reference_forest_point(forest, x):
+    """The per-member Counter vote on Node objects that the split table replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    votes = Counter(evaluate(tree, x) for tree in forest.trees)
+    best = max(votes.values())
+    tied = [label for label, count in votes.items() if count == best]
+    if len(tied) == 1:
+        return tied[0]
+    return _break_tie(tied, forest.tie_rule, forest.tie_seed, x)
+
+
+def reference_point(model, x):
+    """Single-row answer of any ensemble, one evaluate call per tree."""
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(model, Forest):
+        return reference_forest_point(model, x)
+    if isinstance(model, DeepTree):
+        y = evaluate(model.layers[0], x)
+        for layer in model.layers[1:]:
+            y = evaluate(layer, np.append(x, float(y)))
+        return y
+    current = x
+    for layer in model.layers[:-1]:
+        votes = Counter(evaluate(tree, current) for tree in layer.trees)
+        current = np.append(x, [votes[c] / len(layer.trees) for c in model.classes])
+    return reference_forest_point(model.layers[-1], current)
+
+
+def labelled_tree(rng, cuts, labels, splits):
+    """Random tree with at most `splits` splits; feature j + 1 splits at a
+    value drawn from cuts[j], and leaves carry labels drawn from labels."""
+    if splits == 0 or rng.random() < 0.25:
+        return Leaf(int(labels[int(rng.integers(len(labels)))]))
+    j = int(rng.integers(len(cuts)))
+    left = int(rng.integers(splits))
+    return Node(
+        j + 1, float(rng.choice(cuts[j])),
+        labelled_tree(rng, cuts, labels, left), labelled_tree(rng, cuts, labels, splits - 1 - left),
+    )
+
+
+def random_model(rng, kind, labels, tie_rule=TIE_NEGATIVE, tie_seed=None):
+    """A random forest, deep tree or class-vector cascade forest over N_RAW
+    raw features on the half-integer grid 0..4.5, so rows hit thresholds
+    exactly. Later layers also split on the augmented features: a previous
+    label in a deep tree, vote fractions in a cascade forest."""
+    raw = [np.arange(0.0, 5.0, 0.5)] * N_RAW
+    label_cuts = np.array([v + d for v in labels for d in (-0.5, 0.0)])
+    fraction_cuts = np.array([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0])
+
+    def forest(cuts):
+        n_trees = int(rng.integers(1, 8))
+        trees = tuple(labelled_tree(rng, cuts, labels, int(rng.integers(7))) for _ in range(n_trees))
+        return Forest(trees, tie_rule=tie_rule, tie_seed=tie_seed)
+
+    depth = int(rng.integers(1, 5))
+    if kind == "forest":
+        return forest(raw)
+    if kind == "deeptree":
+        layers = [labelled_tree(rng, raw, labels, int(rng.integers(7)))]
+        layers += [
+            labelled_tree(rng, raw + [label_cuts], labels, int(rng.integers(7)))
+            for _ in range(depth - 1)
+        ]
+        return DeepTree(tuple(layers))
+    layers = [forest(raw)] + [forest(raw + [fraction_cuts] * len(labels)) for _ in range(depth - 1)]
+    return CascadeForest(tuple(layers), labels)
+
+
+def random_rows(rng, m, nan_share=0.1):
+    X = rng.integers(0, 10, size=(m, N_RAW)) / 2.0
+    X[rng.random(X.shape) < nan_share] = np.nan
+    return X
+
+
+def assert_point_answers(model, X):
+    """Point answers equal the reference walk and the batch prediction."""
+    point = [model.predict(x) for x in X]
+    assert all(type(label) is int for label in point)
+    assert point == [reference_point(model, x) for x in X]
+    assert point == predict_batch(model, X).tolist()
+
+
+def forest_ties(forest, X) -> int:
+    votes = forest.member_predictions(X)
+    counts = np.stack([(votes == c).sum(axis=0) for c in np.unique(votes)], axis=1)
+    return int(((counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+
+
+@pytest.mark.parametrize("labels", LABEL_SETS)
+@pytest.mark.parametrize("tie_rule", TIE_RULES)
+def test_point_router_matches_reference_and_batch(labels, tie_rule):
+    rng = generator(len(labels), "point-router", tie_rule)
+    ties = leaf_members = 0
+    for kind in MODEL_KINDS:
+        for trial in range(12):
+            tie_seed = int(rng.integers(1000)) if tie_rule == TIE_SEEDED else None
+            model = random_model(rng, kind, labels, tie_rule, tie_seed)
+            X = random_rows(rng, 40)
+            assert_point_answers(model, X)
+            if kind == "forest":
+                ties += forest_ties(model, X)
+                leaf_members += sum(isinstance(t, Leaf) for t in model.trees)
+    assert ties >= 10 and leaf_members >= 3, "the sample must exercise ties and leaf-only members"
+
+
+def test_point_router_on_trained_models():
+    rng = generator(8, "point-router-trained")
+    X = rng.random((400, 3)) * 4
+    y = np.array([-3, 4, 9])[np.floor(X[:, 0] + X[:, 2]).astype(np.int64) % 3]
+    models = (
+        train_forest(X, y, TrainConfig(max_depth=4, seed=2, n_trees=6, feature_subsample="sqrt")),
+        train_cascade(X, y, TrainConfig(max_depth=3, seed=2, cascade_depth=3)),
+        train_cascade(
+            X, y, TrainConfig(max_depth=2, seed=2, n_trees=4, cascade_depth=2, augment_mode="classvector")
+        ),
+    )
+    rows = rng.random((150, 3)) * 4
+    rows[::7, 1] = np.nan
+    for model in models:
+        assert_point_answers(model, rows)
+
+
+def test_point_router_on_a_deep_chain():
+    chain = deep_chain(DEEP)
+    values = np.array([1.0, 2.0, DEEP - 1.0, DEEP, DEEP + 1.0, np.nan])
+    X = values[:, None]
+    forest = Forest((chain, Leaf(-1), chain))
+    # layer 2 reads the chain's label: -1 goes left to a leaf, 1 walks the chain again
+    deeptree = DeepTree((chain, Node(2, 0.0, Leaf(7), chain)))
+    assert [forest.predict(x) for x in X] == [1, -1, 1, -1, 1, 1]
+    assert [deeptree.predict(x) for x in X] == [1, 7, 1, 7, 1, 1]
+    for model in (forest, deeptree):
+        assert_point_answers(model, X)
+    features, thresholds, lefts, rights, roots, labels = split_table((chain,))
+    assert len(features) == DEEP and roots == [0] and labels == (-1, 1)
+
+
+def test_nan_routes_right_in_point_and_batch_queries():
+    stump = Node(1, 0.5, Leaf(-1), Leaf(1))
+    X = np.array([[np.nan], [0.0], [1.0]])
+    assert [evaluate(stump, x) for x in X] == evaluate_batch(stump, X).tolist() == [1, -1, 1]
+    for model in (Forest((stump,)), DeepTree((stump, Node(2, 0.0, Leaf(3), Leaf(4))))):
+        assert_point_answers(model, X)
+
+
+def test_point_queries_reject_narrow_rows_up_front():
+    # every out-of-range read sits on a branch the row never reaches
+    late = DeepTree((Leaf(1), Node(1, 5.0, Leaf(1), Node(4, 0.0, Leaf(1), Leaf(-1)))))
+    first = Forest((Node(1, 5.0, Leaf(0), Node(3, 0.5, Leaf(0), Leaf(1))),))
+    wide = Forest((Node(1, 5.0, Leaf(0), Node(4, 0.5, Leaf(0), Leaf(1))),))
+    cascades = (CascadeForest((first, wide), (0, 1)), CascadeForest((wide, first), (0, 1)))
+    x = np.zeros(2)
+    for model in (late,) + cascades:
+        with pytest.raises(FeatureOutOfRange):
+            model.predict(x)
+        with pytest.raises(FeatureOutOfRange):
+            predict_batch(model, x[None, :])
+    assert late.predict(np.zeros(3)) == 1
+    assert CascadeForest((wide, wide), (0, 1)).predict(np.zeros(4)) == 0
+
+
+def test_point_query_keeps_model_identity():
+    rng = generator(9, "point-identity")
+    X = rng.random((200, 3)) * 4
+    y = np.floor(X[:, 0] + X[:, 1]).astype(np.int64) % 2
+    models = (
+        train_forest(X, y, TrainConfig(max_depth=3, seed=1, n_trees=5)),
+        train_cascade(X, y, TrainConfig(max_depth=3, seed=1, cascade_depth=3)),
+        train_cascade(
+            X, y, TrainConfig(max_depth=2, seed=1, n_trees=3, cascade_depth=2, augment_mode="classvector")
+        ),
+    )
+    for model in models:
+        copy = parse_model(print_model(model))
+        model.predict(X[0])
+        assert model == copy and hash(model) == hash(copy) and repr(model) == repr(copy)
+
+
+def test_models_build_no_table_until_a_point_query(monkeypatch):
+    built = []
+
+    def counting_table(trees):
+        built.append(len(trees))
+        return split_table(trees)
+
+    monkeypatch.setattr(ensemble, "split_table", counting_table)
+    rng = generator(10, "lazy-table")
+    X = rng.random((100, 2)) * 4
+    y = (X[:, 0] > 2).astype(np.int64)
+    forest = train_forest(X, y, TrainConfig(max_depth=2, seed=1, n_trees=3))
+    deeptree = train_cascade(X, y, TrainConfig(max_depth=2, seed=1, cascade_depth=2))
+    cascade = train_cascade(
+        X, y, TrainConfig(max_depth=2, seed=1, n_trees=3, cascade_depth=2, augment_mode="classvector")
+    )
+    for model in (forest, deeptree, cascade):
+        model.predict_batch(X)
+    assert built == []
+    for _ in range(3):
+        forest.predict(X[0])
+        deeptree.predict(X[0])
+    assert built == [3, 2]
+    cascade.predict(X[0])
+    assert built == [3, 2, 3, 3]

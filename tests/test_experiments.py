@@ -358,7 +358,9 @@ def test_config_validation():
     [dict(sim_models=models) for models in (
         ("T", "XX"), ("T", "RF-x"), ("T", "RF-0"), ("T", "DT-0"), ("RF-", "T"), ("rf-3",),
         ("T", "RF-3 "), ("RF-3", "DT-2", "RF-3"), ("RF-3", "RF-03"), ("T", "T"),
-    )] + [dict(sim_depths=(-1, 3)), dict(uci_rf_widths=(0, 4)), dict(scale="galactic")],
+    )] + [dict(sim_depths=(-1, 3)), dict(uci_rf_widths=(0, 4)), dict(scale="galactic")]
+    + [dict(sim_ns=(0,)), dict(sim_ns=(2, -1)), dict(sim_ns=(2, 4, 2)), dict(sim_depths=(2, 2))]
+    + [dict(sim_sample_count=count) for count in (1, 0, -5)],
     ids=lambda bad: ",".join(f"{key}={value}" for key, value in bad.items()),
 )
 def test_bad_config_rejected_with_config_error(bad):
@@ -398,3 +400,13 @@ def test_plots_deterministic_and_empty(tmp_path):
         render_plots([], "sim", tmp_path / "p3")
     with pytest.raises(ValueError):
         render_plots(rows, "mystery", tmp_path / "p4")
+
+
+def test_smallest_split_runs_without_empty_sides():
+    cfg = ExperimentConfig(
+        "sim", sim_ns=(1,), sim_models=("T", "RF-2", "DT-2"), sim_depths=(0, 1),
+        sim_sample_count=2,
+    )
+    rows = run_simulation(cfg)
+    assert len(rows) == 6
+    assert all(row[key] in (0.0, 1.0) for row in rows for key in ("train_accuracy", "test_accuracy"))

@@ -3,7 +3,7 @@ import pytest
 
 from deeptrees.data_io import SimulationSpec, generate_simulation
 from deeptrees.ensemble import CascadeForest, DeepTree, model_dim, predict_batch, total_leaves
-from deeptrees.errors import EmptyDataset, FeatureOutOfRange
+from deeptrees.errors import DeepTreesError, EmptyDataset, FeatureOutOfRange, NonFiniteFeature
 from deeptrees.lattice import LatticeSpace, ParityConcept
 from deeptrees.learn import (
     TrainConfig,
@@ -390,3 +390,24 @@ def test_trained_thresholds_are_python_floats():
         assert all(type(node.threshold) is float for node in nodes)
         assert "np.float64" not in repr(nodes[0])
         assert parse_model(print_model(model)) == model
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_training_rejects_non_finite_features(value):
+    X, y = lattice_data(2, 2)
+    X = np.tile(X, (2, 1))
+    y = np.tile(y, 2)
+    X[5, 1] = value
+    trainers = (
+        lambda: train_tree(X, y),
+        lambda: train_tree_grown(X, y, PLAIN),
+        lambda: train_forest(X, y, TrainConfig(n_trees=3)),
+        lambda: train_cascade(X, y, TrainConfig(cascade_depth=2)),
+        lambda: train_cascade(X, y, TrainConfig(n_trees=2, cascade_depth=2, augment_mode="classvector")),
+    )
+    for train in trainers:
+        with pytest.raises(NonFiniteFeature) as caught:
+            train()
+        assert (caught.value.row, caught.value.feature) == (5, 2)
+        assert isinstance(caught.value, DeepTreesError)
+        assert "row 5 feature 2" in str(caught.value)

@@ -1,0 +1,33 @@
+"""Property tests drawn by hypothesis; the module skips when it is not
+installed. The fixed-seed cases of the same properties live next to the
+code they test and run without it."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from deeptrees.rng import generator  # noqa: E402
+
+from test_ensemble import (  # noqa: E402
+    MODEL_KINDS,
+    TIE_RULES,
+    assert_point_answers,
+    random_model,
+    random_rows,
+)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    labels=st.lists(st.integers(-50, 50), min_size=2, max_size=5, unique=True).map(sorted),
+    kind=st.sampled_from(MODEL_KINDS),
+    tie_rule=st.sampled_from(TIE_RULES),
+    tie_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    nan_share=st.sampled_from((0.0, 0.1, 0.5)),
+)
+def test_point_router_equals_reference_and_batch(labels, kind, tie_rule, tie_seed, seed, nan_share):
+    rng = generator(seed, "router-property")
+    model = random_model(rng, kind, tuple(labels), tie_rule, tie_seed)
+    assert_point_answers(model, random_rows(rng, 30, nan_share))
