@@ -91,24 +91,6 @@ def simulation_distribution(spec: SimulationSpec):
     return UniformDistribution(space)
 
 
-def label_from_raw(x, p: int, tie_rng: Optional[np.random.Generator] = None) -> int:
-    """Parity of the nearest lattice point, clipped into [1, p].
-
-    Exact .5 coordinates are ties between neighbors; they round by coin
-    when a generator is supplied and upward otherwise (the event has
-    probability zero in the generated data).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    nearest = np.floor(x + 0.5)
-    if tie_rng is not None:
-        ties = (x + 0.5) == nearest
-        if np.any(ties):
-            down = tie_rng.random(int(ties.sum())) < 0.5
-            nearest[ties] -= down.astype(np.float64)
-    nearest = np.clip(nearest, 1, p).astype(np.int64)
-    return 1 - 2 * (int(nearest.sum()) & 1)
-
-
 def split_sizes(sample_count: int, split_fraction: float = 0.7) -> tuple[int, int]:
     """(train, test) row counts of generate_simulation's shuffled split."""
     n_train = int(round(split_fraction * sample_count))
@@ -131,18 +113,6 @@ def generate_simulation(spec: SimulationSpec) -> LabeledDataset:
         test_idx=perm[n_train:],
         name=f"sim-n{spec.n}",
     )
-
-
-def exact_label_balance(spec: SimulationSpec):
-    """Exact probability of label +1 under the spec's distribution."""
-    from fractions import Fraction
-
-    dist = simulation_distribution(spec)
-    balance = Fraction(1)
-    for i in range(1, spec.n + 1):
-        fracs = dist.dim_mass_fractions(i)
-        balance *= sum(f if (v % 2 == 0) else -f for v, f in enumerate(fracs, start=1))
-    return (1 + balance) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -98,3 +98,11 @@ class ConfigError(DeepTreesError, ValueError):
 
 class EmptyTable(DeepTreesError):
     """A plot was requested for an empty result table."""
+
+
+class NonIntegralLabel(DeepTreesError):
+    """A training label is not a finite integer; carries the 0-based row."""
+
+    def __init__(self, message, row):
+        super().__init__(message)
+        self.row = row

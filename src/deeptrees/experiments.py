@@ -128,6 +128,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{grid_name} must be a nonempty grid")
         if min(self.sim_ns) < 1:
             raise ConfigError("sim_ns must be >= 1")
+        if self.sim_a <= 0:
+            raise ConfigError(f"sim_a must be positive, got {self.sim_a}")
         if min(self.sim_depths) < 0:
             raise ConfigError("sim_depths must be >= 0")
         for grid_name in ("sim_ns", "sim_depths"):

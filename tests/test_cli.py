@@ -121,7 +121,7 @@ def test_experiment_and_plot_commands(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line", ["models = T,XX", "models = T,RF-x", "models = T,RF-0", "models = T,DT-0",
              "models = T,RF-3,RF-3", "depths = 1-x", "ns = 0", "ns = 2,2", "depths = 2,2",
-             "sample_count = 1"],
+             "sample_count = 1", "a = 0", "a = -2"],
 )
 def test_experiment_rejects_bad_sim_config(tmp_path, capsys, line):
     cfg = tmp_path / "cfg.ini"

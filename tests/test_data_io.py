@@ -1,5 +1,4 @@
 import hashlib
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +9,8 @@ from deeptrees.data_io import (
     LabeledDataset,
     SimulationSpec,
     SourceFile,
-    exact_label_balance,
     fetch_dataset,
     generate_simulation,
-    label_from_raw,
     read_csv,
     write_csv,
 )
@@ -23,7 +20,6 @@ from deeptrees.errors import (
     MalformedRow,
     UnreachableSource,
 )
-from deeptrees.lattice import parity_label
 from deeptrees.rng import generator
 
 
@@ -56,29 +52,6 @@ def test_simulation_deterministic():
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.train_idx, b.train_idx)
-
-
-def test_label_from_raw_examples():
-    assert label_from_raw((1.3, 2.4), p=4) == parity_label((1, 2))
-    assert label_from_raw((2.0, 2.0), p=4) == parity_label((2, 2))
-    assert label_from_raw((0.6,), p=4) == parity_label((1,))
-    assert label_from_raw((4.4,), p=4) == parity_label((4,))
-
-
-def test_label_from_raw_tie_coin():
-    rng = generator(0, "tie-test")
-    seen = {label_from_raw((1.5,), p=4, tie_rng=rng) for _ in range(64)}
-    assert seen == {-1, 1}  # both neighbors appear under the coin
-    assert label_from_raw((1.5,), p=4) == parity_label((2,))  # default rounds up
-
-
-def test_exact_label_balance_matches_empirical():
-    spec = SimulationSpec(n=2, sample_count=100_000, seed=5)
-    exact = exact_label_balance(spec)
-    assert isinstance(exact, Fraction)
-    data = generate_simulation(spec)
-    empirical = float(np.mean(data.y == 1))
-    assert abs(empirical - float(exact)) < 0.02
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):

@@ -1,9 +1,19 @@
+import heapq
+import math
+
 import numpy as np
 import pytest
 
+from deeptrees import learn
 from deeptrees.data_io import SimulationSpec, generate_simulation
 from deeptrees.ensemble import CascadeForest, DeepTree, model_dim, predict_batch, total_leaves
-from deeptrees.errors import DeepTreesError, EmptyDataset, FeatureOutOfRange, NonFiniteFeature
+from deeptrees.errors import (
+    DeepTreesError,
+    EmptyDataset,
+    FeatureOutOfRange,
+    NonFiniteFeature,
+    NonIntegralLabel,
+)
 from deeptrees.lattice import LatticeSpace, ParityConcept
 from deeptrees.learn import (
     TrainConfig,
@@ -411,3 +421,206 @@ def test_training_rejects_non_finite_features(value):
         assert (caught.value.row, caught.value.feature) == (5, 2)
         assert isinstance(caught.value, DeepTreesError)
         assert "row 5 feature 2" in str(caught.value)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.7, np.nan, np.inf, -np.inf, 2.0**70])
+def test_training_rejects_non_integral_labels(value):
+    X, y = lattice_data(2, 2)
+    X = np.tile(X, (2, 1))
+    y = np.tile(y, 2).astype(np.float64)
+    y[5] = value
+    trainers = (
+        lambda: train_tree(X, y),
+        lambda: train_tree_grown(X, y, PLAIN),
+        lambda: train_tree(X, y, TrainConfig(max_leaves=3, bootstrap=False)),
+        lambda: train_forest(X, y, TrainConfig(n_trees=3)),
+        lambda: train_forest_grown(X, y, TrainConfig(n_trees=3)),
+        lambda: train_cascade(X, y, TrainConfig(cascade_depth=2)),
+        lambda: train_cascade(X, y, TrainConfig(n_trees=2, cascade_depth=2, augment_mode="classvector")),
+    )
+    for train in trainers:
+        with pytest.raises(NonIntegralLabel) as caught:
+            train()
+        assert caught.value.row == 5
+        assert isinstance(caught.value, DeepTreesError)
+        assert "row 5 label" in str(caught.value)
+
+
+def test_integral_float_labels_train_like_integers():
+    X, y = random_data(33, rows=120, classes=(-1, 0, 2))
+    assert train_tree(X, y.astype(np.float64), PLAIN) == train_tree(X, y, PLAIN)
+    cfg = TrainConfig(max_depth=3, cascade_depth=2, seed=1)
+    assert train_cascade(X, y.astype(np.float64), cfg) == train_cascade(X, y, cfg)
+
+
+# ---------------------------------------------------------------------------
+# reference grower: the per-node grower the batch grower replaced. Each node
+# sorts each feature of its own rows, one feature at a time; depth-first
+# growth pops a stack, best-first growth a gain heap.
+# ---------------------------------------------------------------------------
+
+
+def _reference_feature_best(X, y_codes, idx, counts, parent_gini, f):
+    """Best (gain, feature, threshold) along 0-based feature f, or None."""
+    m = idx.size
+    vals = X[idx, f]
+    order = np.argsort(vals, kind="stable")
+    sv = vals[order]
+    boundaries = np.nonzero(sv[:-1] < sv[1:])[0]
+    if boundaries.size == 0:
+        return None
+    sy = y_codes[idx][order]
+    left_sizes = (boundaries + 1).astype(np.float64)
+    right_sizes = m - left_sizes
+    left_sq = np.zeros(boundaries.size, dtype=np.float64)
+    right_sq = np.zeros(boundaries.size, dtype=np.float64)
+    for c, total_c in enumerate(counts):
+        if total_c == 0:
+            continue
+        cum_c = np.cumsum(sy == c)
+        left_c = cum_c[boundaries].astype(np.float64)
+        left_sq += left_c**2
+        right_sq += (total_c - left_c) ** 2
+    gini_left = 1.0 - left_sq / left_sizes**2
+    gini_right = 1.0 - right_sq / right_sizes**2
+    gains = parent_gini - (left_sizes * gini_left + right_sizes * gini_right) / m
+    pos = int(np.argmax(gains))  # first maximum -> lowest threshold
+    b = int(boundaries[pos])
+    return float(gains[pos]), f + 1, float((sv[b] + sv[b + 1]) / 2.0)
+
+
+def _reference_better(cand, best):
+    if best is None:
+        return True
+    if cand[0] != best[0]:
+        return cand[0] > best[0]
+    return (cand[1], cand[2]) < (best[1], best[2])
+
+
+def reference_grow(X, y, cfg, rows, tree_seed):
+    """The tree one member grows on X[rows], one node at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    classes = np.unique(np.asarray(y, dtype=np.int64))
+    y_codes = np.searchsorted(classes, np.asarray(y, dtype=np.int64))
+    n_features = X.shape[1]
+    n_examine = max(1, math.isqrt(n_features)) if cfg.feature_subsample == "sqrt" else n_features
+
+    def best_split(idx, counts, node_id):
+        parent_gini = 1.0 - float(np.sum((counts / idx.size) ** 2))
+        if cfg.feature_subsample == "all":
+            order = range(n_features)
+        else:
+            order = generator(tree_seed, "node", node_id).permutation(n_features)
+        best = None
+        for examined, f in enumerate(order, start=1):
+            cand = _reference_feature_best(X, y_codes, idx, counts, parent_gini, int(f))
+            if cand is not None and _reference_better(cand, best):
+                best = cand
+            if examined >= n_examine and best is not None:
+                break
+        return best
+
+    best_first = cfg.max_leaves is not None
+    push, pop = (heapq.heappush, heapq.heappop) if best_first else (list.append, list.pop)
+    majority: dict = {}
+    splits: dict = {}
+    frontier: list = []
+
+    def admit(idx, depth, node_id):
+        counts = np.bincount(y_codes[idx], minlength=len(classes))
+        majority[node_id] = int(classes[int(np.argmax(counts))])
+        if idx.size < cfg.min_samples_split or int(counts.max()) == idx.size:
+            return
+        if cfg.max_depth is not None and depth >= cfg.max_depth:
+            return
+        best = best_split(idx, counts, node_id)
+        if best is not None:
+            push(frontier, (-best[0], len(majority), node_id, depth, idx, best))
+
+    admit(np.asarray(rows), 0, 1)
+    while frontier and not (best_first and len(splits) + 1 >= cfg.max_leaves):
+        _, _, node_id, depth, idx, (_, feature, threshold) = pop(frontier)
+        splits[node_id] = (feature, threshold, len(splits))
+        go_left = X[idx, feature - 1] <= threshold
+        children = [(idx[go_left], 2 * node_id), (idx[~go_left], 2 * node_id + 1)]
+        for child_idx, child_id in (children if best_first else reversed(children)):
+            admit(child_idx, depth + 1, child_id)
+    return learn._assemble(majority, splits)
+
+
+class ReferenceGrower:
+    """Stands in for learn._Grower: each member grown alone by reference_grow."""
+
+    def __init__(self, X, y, cfg):
+        self.X = np.asarray(X, dtype=np.float64)
+        self.y = y
+        self.cfg = cfg
+
+    def grow(self, seeds, member_rows):
+        return [
+            reference_grow(self.X, self.y, self.cfg, member_rows(t), seed)
+            for t, seed in enumerate(seeds)
+        ]
+
+
+def growth_corpus(seed, rows, cols, n_classes, levels):
+    """Random rows with value ties (levels distinct values per feature),
+    a constant feature, and skewed classes so some nodes lack a class."""
+    rng = generator(seed, "growth-corpus")
+    X = np.floor(rng.random((rows, cols)) * levels)
+    X[:, int(rng.integers(cols))] = 1.5
+    weights = rng.random(n_classes) ** 2 + 0.05
+    y = rng.choice(np.arange(n_classes) * 3 - 2, size=rows, p=weights / weights.sum())
+    return X, y
+
+
+def grown_by_every_entry_point(X, y, seed):
+    """The trees of every training entry point, flattened in a fixed order."""
+    models = [
+        train_tree_grown(X, y, PLAIN),
+        train_tree_grown(X, y, TrainConfig(max_depth=3, min_samples_split=7, bootstrap=False)),
+        train_tree_grown(X, y, TrainConfig(max_leaves=9, bootstrap=False)),
+        *train_forest_grown(
+            X, y, TrainConfig(seed=seed, n_trees=4, feature_subsample="sqrt", min_samples_split=3)
+        ),
+        *train_forest_grown(
+            X, y, TrainConfig(max_depth=4, seed=seed, n_trees=3, bootstrap=False, feature_subsample="sqrt")
+        ),
+        *train_forest_grown(
+            X, y, TrainConfig(max_leaves=7, seed=seed, n_trees=3, feature_subsample="sqrt")
+        ),
+        train_cascade(X, y, TrainConfig(max_depth=6, seed=seed, cascade_depth=3)),
+        train_cascade(
+            X, y,
+            TrainConfig(max_depth=3, seed=seed, n_trees=3, cascade_depth=2, augment_mode="classvector"),
+        ),
+    ]
+    return [tree for model in models for tree in _trees(model)]
+
+
+def assert_same_growth(mine, reference):
+    """Same trees, and every split's majority and realization order too."""
+    assert len(mine) == len(reference)
+    for a, b in zip(mine, reference):
+        assert a == b
+        for (x, _), (z, _) in zip(walk(a), walk(b)):
+            if isinstance(x, Node):
+                assert (x.majority, x.order) == (z.majority, z.order)
+
+
+def assert_grows_like_reference(monkeypatch, X, y, seed):
+    mine = grown_by_every_entry_point(X, y, seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(learn, "_Grower", ReferenceGrower)
+        reference = grown_by_every_entry_point(X, y, seed)
+    assert_same_growth(mine, reference)
+
+
+@pytest.mark.parametrize("pass_rows", [None, 1, 10**9])
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_growth_equals_reference_grower(monkeypatch, seed, pass_rows):
+    if pass_rows is not None:
+        monkeypatch.setattr(learn, "PASS_ROWS", pass_rows)
+    X, y = growth_corpus(seed, rows=90 + 40 * seed, cols=2 + seed % 4, n_classes=2 + seed % 4,
+                         levels=(3, 5, 40)[seed % 3])
+    assert_grows_like_reference(monkeypatch, X, y, seed)

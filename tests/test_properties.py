@@ -7,6 +7,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from deeptrees import learn  # noqa: E402
 from deeptrees.rng import generator  # noqa: E402
 
 from test_ensemble import (  # noqa: E402
@@ -16,6 +17,7 @@ from test_ensemble import (  # noqa: E402
     random_model,
     random_rows,
 )
+from test_learn import assert_grows_like_reference, growth_corpus  # noqa: E402
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -31,3 +33,20 @@ def test_point_router_equals_reference_and_batch(labels, kind, tie_rule, tie_see
     rng = generator(seed, "router-property")
     model = random_model(rng, kind, tuple(labels), tie_rule, tie_seed)
     assert_point_answers(model, random_rows(rng, 30, nan_share))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(2, 160),
+    cols=st.integers(1, 5),
+    n_classes=st.integers(2, 5),
+    levels=st.sampled_from((2, 4, 50)),
+    pass_rows=st.sampled_from((None, 1, 64, 10**9)),
+)
+def test_batch_growth_equals_reference_grower(seed, rows, cols, n_classes, levels, pass_rows):
+    X, y = growth_corpus(seed, rows, cols, n_classes, levels)
+    with pytest.MonkeyPatch.context() as patch:
+        if pass_rows is not None:
+            patch.setattr(learn, "PASS_ROWS", pass_rows)
+        assert_grows_like_reference(patch, X, y, seed % 1000)
