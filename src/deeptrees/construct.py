@@ -42,7 +42,7 @@ def build_parity_deeptree(p: int, n: int) -> DeepTree:
         layers.append(_negate(aug))
         for q in range(2, p + 1):
             layers.append(Node(d, float(q - 1), _passthrough(aug), _negate(aug)))
-    return DeepTree(tuple(layers), input_dim=n)
+    return DeepTree(tuple(layers))
 
 
 def snap_threshold(threshold: float, p: int) -> int:
@@ -116,9 +116,9 @@ def compile_to_deeptree(source: Tree, space: LatticeSpace) -> DeepTree:
     """
     leaves = extract_leaf_lists(source, space)
     if leaves.d_plus == 0:
-        return DeepTree((Leaf(-1),), input_dim=space.n)
+        return DeepTree((Leaf(-1),))
     if leaves.d_minus == 0:
-        return DeepTree((Leaf(+1),), input_dim=space.n)
+        return DeepTree((Leaf(+1),))
     # ties go to the positive class
     if leaves.d_plus <= leaves.d_minus:
         marked, mark = leaves.positive, +1
@@ -134,7 +134,7 @@ def compile_to_deeptree(source: Tree, space: LatticeSpace) -> DeepTree:
             layers.append(Node(aug, 0.0, chain, Leaf(+1)))
         else:
             layers.append(Node(aug, 0.0, Leaf(-1), chain))
-    return DeepTree(tuple(layers), input_dim=n)
+    return DeepTree(tuple(layers))
 
 
 def compile_report(source: Tree, space: LatticeSpace) -> dict:

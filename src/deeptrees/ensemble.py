@@ -13,20 +13,14 @@ a dataclass field, so equality, hashing and repr never see it, and models
 that only ever answer batch queries never build one.
 """
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
-from .errors import FeatureOutOfRange, SizeBudgetExceeded
-from .rng import generator
+from .errors import FeatureOutOfRange
 from .tree import Leaf, Node, Tree, dim_of, evaluate_batch, leaf_count, max_feature, split_table
-
-TIE_NEGATIVE = "negative"  # lowest tied label; the reproducible default
-TIE_POSITIVE = "positive"  # highest tied label
-TIE_SEEDED = "seeded"  # uniform among tied labels, keyed by (seed, x)
 
 
 @dataclass(frozen=True)
@@ -43,77 +37,25 @@ class SizeBudget:
         return dim_of(tree) <= self.max_dim
 
 
-def _require_budget(tree: Tree, ambient_dim: int, role: str):
-    budget = SizeBudget(ambient_dim)
-    if not budget.admits(tree):
-        raise SizeBudgetExceeded(
-            f"{role}: dim {dim_of(tree)} exceeds budget {budget.max_dim} "
-            f"for ambient dimension {ambient_dim}"
-        )
-    if max_feature(tree) > ambient_dim:
-        raise FeatureOutOfRange(
-            f"{role}: references feature {max_feature(tree)} beyond ambient "
-            f"dimension {ambient_dim}"
-        )
-
-
-def _point_stream_key(x) -> int:
-    digest = hashlib.sha256(np.asarray(x, dtype=np.float64).tobytes()).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
-def _break_tie(tied_labels, tie_rule, tie_seed, x):
-    tied = sorted(int(v) for v in tied_labels)
-    if tie_rule == TIE_NEGATIVE:
-        return tied[0]
-    if tie_rule == TIE_POSITIVE:
-        return tied[-1]
-    if tie_rule == TIE_SEEDED:
-        rng = generator(0 if tie_seed is None else tie_seed, "forest.tie", _point_stream_key(x))
-        return tied[int(rng.integers(len(tied)))]
-    raise ValueError(f"unknown tie rule {tie_rule!r}")
-
-
-def resolve_votes(classes, counts, tie_rule, tie_seed, X) -> np.ndarray:
+def resolve_votes(classes, counts) -> np.ndarray:
     """Majority label of each row of an (m, n_classes) vote-count matrix.
 
-    classes must be ascending, so the first maximum of a row is its lowest
-    tied label; only rows with several maxima go to the tie rule, which
-    keys seeded ties by the matching row of X. A class nobody voted for
-    never changes the result.
+    classes must be ascending, so a row's first maximum is its lowest tied
+    label. A class nobody voted for never changes the result.
     """
-    classes = np.asarray(classes, dtype=np.int64)
-    best = counts.max(axis=1, keepdims=True)
-    out = classes[np.argmax(counts, axis=1)]
-    at_best = counts == best
-    for r in np.flatnonzero(at_best.sum(axis=1) > 1):
-        out[r] = _break_tie(classes[at_best[r]], tie_rule, tie_seed, X[r])
-    return out
+    return np.asarray(classes, dtype=np.int64)[counts.argmax(axis=1)]
 
 
 @dataclass(frozen=True)
 class Forest:
-    """Majority vote over member trees.
-
-    When ambient_dim is given, members must satisfy the restricted-size
-    budget of that ambient space; trained forests pass None because the
-    experiment models are unrestricted.
-    """
+    """Majority vote over member trees; a tie goes to the lowest tied label."""
 
     trees: tuple
-    tie_rule: str = TIE_NEGATIVE
-    tie_seed: Optional[int] = None
-    ambient_dim: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
         if not self.trees:
             raise ValueError("a forest needs at least one tree")
-        if self.tie_rule not in (TIE_NEGATIVE, TIE_POSITIVE, TIE_SEEDED):
-            raise ValueError(f"unknown tie rule {self.tie_rule!r}")
-        if self.ambient_dim is not None:
-            for tree in self.trees:
-                _require_budget(tree, self.ambient_dim, "forest member")
 
     def member_predictions(self, X) -> np.ndarray:
         """(n_trees, m) label matrix."""
@@ -144,13 +86,10 @@ class Forest:
         return labels, votes
 
     def _majority(self, row: list) -> int:
-        """Vote on one width-checked row; the tie rule sees tied rows only."""
+        """Vote on one width-checked row; labels ascend, so the first
+        maximum is the lowest tied label."""
         labels, votes = self._member_votes(row)
-        best = max(votes)
-        if votes.count(best) == 1:
-            return labels[votes.index(best)]
-        tied = [label for label, count in zip(labels, votes) if count == best]
-        return _break_tie(tied, self.tie_rule, self.tie_seed, row)
+        return labels[votes.index(max(votes))]
 
     def predict(self, x) -> int:
         """Vote of the members on a single row."""
@@ -165,7 +104,7 @@ class Forest:
         votes = self.member_predictions(X)
         classes = np.unique(votes)
         counts = np.stack([(votes == c).sum(axis=0) for c in classes], axis=1)
-        return resolve_votes(classes, counts, self.tie_rule, self.tie_seed, X)
+        return resolve_votes(classes, counts)
 
     def vote_fractions(self, X, classes) -> np.ndarray:
         """(m, n_classes) fraction of member votes per class, in class order."""
@@ -178,16 +117,11 @@ class DeepTree:
     """Cascade of trees; layer d >= 2 reads feature n+1 = previous label."""
 
     layers: tuple
-    input_dim: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ValueError("a deep tree needs at least one layer")
-        if self.input_dim is not None:
-            _require_budget(self.layers[0], self.input_dim, "deep tree layer 1")
-            for d, layer in enumerate(self.layers[1:], start=2):
-                _require_budget(layer, self.input_dim + 1, f"deep tree layer {d}")
 
     @property
     def depth(self) -> int:

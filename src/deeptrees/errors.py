@@ -21,10 +21,6 @@ class FeatureOutOfRange(DeepTreesError):
     """A tree references a feature index beyond the input width."""
 
 
-class SizeBudgetExceeded(DeepTreesError):
-    """A member tree does not fit the restricted-size budget of its ensemble."""
-
-
 class ModelSyntaxError(DeepTreesError):
     """Malformed model text; carries line/column of the offending token."""
 

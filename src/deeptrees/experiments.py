@@ -30,7 +30,6 @@ from .data_io import (
     split_sizes,
 )
 from .ensemble import (
-    TIE_NEGATIVE,
     DeepTree,
     Forest,
     model_dim,
@@ -126,8 +125,9 @@ class ExperimentConfig:
         ):
             if not getattr(self, grid_name):
                 raise ConfigError(f"{grid_name} must be a nonempty grid")
-        if min(self.sim_ns) < 1:
-            raise ConfigError("sim_ns must be >= 1")
+        for grid_name in ("sim_ns", "gini_ns", "gini_a_values", "uci_rf_widths", "uci_df_widths"):
+            if min(getattr(self, grid_name)) < 1:
+                raise ConfigError(f"{grid_name} must be >= 1")
         if self.sim_a <= 0:
             raise ConfigError(f"sim_a must be positive, got {self.sim_a}")
         if min(self.sim_depths) < 0:
@@ -141,8 +141,6 @@ class ExperimentConfig:
                 f"sim_sample_count {self.sample_count} leaves the 70/30 train or test "
                 "split empty; it needs at least 2 samples"
             )
-        if min(self.uci_rf_widths) < 1:
-            raise ConfigError("uci_rf_widths must be >= 1")
         seen: dict = {}
         for name in self.sim_models:
             spec = parse_sim_model(name)
@@ -176,56 +174,66 @@ def _parse_ints(text: str) -> tuple:
     return tuple(out)
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {text!r}") from None
+
+
+def _parse_names(text: str) -> tuple:
+    """Comma-separated names, blanks dropped."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+# (section, key) of the config file -> (ExperimentConfig field, parser)
+CONFIG_KEYS = {
+    ("experiment", "id"): ("experiment", str),
+    ("experiment", "seed"): ("seed", _parse_int),
+    ("experiment", "scale"): ("scale", str),
+    ("experiment", "out_dir"): ("out_dir", Path),
+    ("sim", "ns"): ("sim_ns", _parse_ints),
+    ("sim", "models"): ("sim_models", _parse_names),
+    ("sim", "depths"): ("sim_depths", _parse_ints),
+    ("sim", "sample_count"): ("sim_sample_count", _parse_int),
+    ("sim", "a"): ("sim_a", _parse_int),
+    ("gini", "ns"): ("gini_ns", _parse_ints),
+    ("gini", "a_values"): ("gini_a_values", _parse_ints),
+    ("bounds", "compile_corpus"): ("bounds_compile_corpus", _parse_int),
+    ("bounds", "error_corpus"): ("bounds_error_corpus", _parse_int),
+    ("uci", "datasets"): ("uci_datasets", _parse_names),
+    ("uci", "rf_widths"): ("uci_rf_widths", _parse_ints),
+    ("uci", "df_widths"): ("uci_df_widths", _parse_ints),
+    ("uci", "tree_sizes"): ("uci_tree_sizes", _parse_ints),
+    ("uci", "cache"): ("cache_dir", Path),
+}
+
+
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
-    """ExperimentConfig from the flat sectioned key-value format."""
-    parser = configparser.ConfigParser()
-    parser.read_string(Path(path).read_text(encoding="utf-8"))
-    exp = parser["experiment"]
-    kwargs: dict = {
-        "experiment": exp.get("id", "sim"),
-        "seed": exp.getint("seed", 0),
-        "scale": exp.get("scale", "desk"),
-    }
-    if "out_dir" in exp:
-        kwargs["out_dir"] = Path(exp["out_dir"])
-    if parser.has_section("sim"):
-        sim = parser["sim"]
-        if "ns" in sim:
-            kwargs["sim_ns"] = _parse_ints(sim["ns"])
-        if "models" in sim:
-            kwargs["sim_models"] = tuple(m.strip() for m in sim["models"].split(",") if m.strip())
-        if "depths" in sim:
-            kwargs["sim_depths"] = _parse_ints(sim["depths"])
-        if "sample_count" in sim:
-            kwargs["sim_sample_count"] = sim.getint("sample_count")
-        if "a" in sim:
-            kwargs["sim_a"] = sim.getint("a")
-    if parser.has_section("gini"):
-        gini = parser["gini"]
-        if "ns" in gini:
-            kwargs["gini_ns"] = _parse_ints(gini["ns"])
-        if "a_values" in gini:
-            kwargs["gini_a_values"] = _parse_ints(gini["a_values"])
-    if parser.has_section("bounds"):
-        bounds = parser["bounds"]
-        if "compile_corpus" in bounds:
-            kwargs["bounds_compile_corpus"] = bounds.getint("compile_corpus")
-        if "error_corpus" in bounds:
-            kwargs["bounds_error_corpus"] = bounds.getint("error_corpus")
-    if parser.has_section("uci"):
-        uci = parser["uci"]
-        if "datasets" in uci:
-            kwargs["uci_datasets"] = tuple(d.strip() for d in uci["datasets"].split(",") if d.strip())
-        if "rf_widths" in uci:
-            kwargs["uci_rf_widths"] = _parse_ints(uci["rf_widths"])
-        if "df_widths" in uci:
-            kwargs["uci_df_widths"] = _parse_ints(uci["df_widths"])
-        if "tree_sizes" in uci:
-            kwargs["uci_tree_sizes"] = _parse_ints(uci["tree_sizes"])
-        if "cache" in uci:
-            kwargs["cache_dir"] = Path(uci["cache"])
-    if overrides:
-        kwargs.update(overrides)
+    """ExperimentConfig from the flat sectioned key-value format.
+
+    Each key of CONFIG_KEYS sets its field; the file needs an [experiment]
+    section, and an unknown section or key, a syntax error or a value its
+    parser rejects raises ConfigError.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from None
+    if not parser.has_section("experiment"):
+        raise ConfigError(f"{path}: missing [experiment] section")
+    kwargs: dict = {"experiment": "sim"}
+    for section in parser.sections():
+        for key, text in parser.items(section):
+            if (section, key) not in CONFIG_KEYS:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            name, parse = CONFIG_KEYS[section, key]
+            try:
+                kwargs[name] = parse(text)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
+    kwargs.update(overrides or {})
     return ExperimentConfig(**kwargs)
 
 
@@ -287,9 +295,9 @@ def _add_votes(counts, labels, classes):
         counts[c] += labels == label
 
 
-def _vote_accuracy(classes, counts, X, y) -> float:
-    """Accuracy of the default-rule majority vote over (n_classes, m) counts."""
-    return float(np.mean(resolve_votes(classes, counts.T, TIE_NEGATIVE, None, X) == y))
+def _vote_accuracy(classes, counts, y) -> float:
+    """Accuracy of the majority vote over (n_classes, m) counts."""
+    return float(np.mean(resolve_votes(classes, counts.T) == y))
 
 
 def _width_prefixes(members, leaf_counts, splits, widths, budgets, member_labels) -> dict:
@@ -315,7 +323,7 @@ def _width_prefixes(members, leaf_counts, splits, widths, budgets, member_labels
             _add_votes(counts, member_labels(member, X), classes)
             if t in accuracy:
                 accuracy[t].append(
-                    {b: _vote_accuracy(classes, counts[:, b], X, y) for b in budgets}
+                    {b: _vote_accuracy(classes, counts[:, b], y) for b in budgets}
                 )
     return {w: (leaves[w - 1], dims[w - 1], *accuracy[w]) for w in widths}
 
@@ -779,13 +787,37 @@ def _zero_error_trained_forest(space: LatticeSpace, seed: int) -> Optional[Fores
 # ---------------------------------------------------------------------------
 
 
+def _uci_row(
+    cfg, subject, model_name, size, width, total_trees, leaves, dim, accuracies, elapsed
+) -> dict:
+    train_acc, test_acc = accuracies
+    return {
+        "experiment": "uci",
+        "subject": subject,
+        "model": model_name,
+        "tree_size": size,
+        "width": width,
+        "total_trees": total_trees,
+        "total_leaves": leaves,
+        "dim": dim,
+        "train_accuracy": train_acc,
+        "test_accuracy": test_acc,
+        "wall_time": round(elapsed, 6),
+        "seed": cfg.seed,
+    }
+
+
 def run_uci(cfg: ExperimentConfig) -> list:
+    """RF rows at every width prefix of one grown forest per tree size (the
+    widest row carries growth and scoring, the others 0), and one DF-2 row
+    per cascade width."""
     rows = []
+    widest = max(cfg.uci_rf_widths)
     for name in cfg.uci_datasets:
         data = fetch_dataset(BUILTIN_MANIFESTS[name], cfg.cache_dir, offline=cfg.offline)
         for size in cfg.uci_tree_sizes:
             rf_cfg = TrainConfig(
-                max_leaves=size, seed=cfg.seed, n_trees=max(cfg.uci_rf_widths),
+                max_leaves=size, seed=cfg.seed, n_trees=widest,
                 bootstrap=True, feature_subsample="sqrt",
             )
             start = time.perf_counter()
@@ -798,22 +830,10 @@ def run_uci(cfg: ExperimentConfig) -> list:
             elapsed = time.perf_counter() - start
             for width in cfg.uci_rf_widths:
                 leaves, dims, train_acc, test_acc = prefixes[width]
-                rows.append(
-                    {
-                        "experiment": "uci",
-                        "subject": name,
-                        "model": "RF",
-                        "tree_size": size,
-                        "width": width,
-                        "total_trees": width,
-                        "total_leaves": int(leaves[0]),
-                        "dim": int(dims[0]),
-                        "train_accuracy": train_acc[0],
-                        "test_accuracy": test_acc[0],
-                        "wall_time": round(elapsed if width == max(cfg.uci_rf_widths) else 0.0, 6),
-                        "seed": cfg.seed,
-                    }
-                )
+                rows.append(_uci_row(
+                    cfg, name, "RF", size, width, width, int(leaves[0]), int(dims[0]),
+                    (train_acc[0], test_acc[0]), elapsed if width == widest else 0.0,
+                ))
             for width in cfg.uci_df_widths:
                 df_cfg = TrainConfig(
                     max_leaves=size, seed=cfg.seed, n_trees=width, bootstrap=True,
@@ -821,25 +841,14 @@ def run_uci(cfg: ExperimentConfig) -> list:
                 )
                 start = time.perf_counter()
                 cascade = train_cascade(data.train_X, data.train_y, df_cfg)
-                train_pred = cascade.predict_batch(data.train_X)
-                test_pred = cascade.predict_batch(data.test_X)
-                elapsed = time.perf_counter() - start
-                rows.append(
-                    {
-                        "experiment": "uci",
-                        "subject": name,
-                        "model": "DF-2",
-                        "tree_size": size,
-                        "width": width,
-                        "total_trees": 2 * width,
-                        "total_leaves": total_leaves(cascade),
-                        "dim": model_dim(cascade),
-                        "train_accuracy": float(np.mean(train_pred == data.train_y)),
-                        "test_accuracy": float(np.mean(test_pred == data.test_y)),
-                        "wall_time": round(elapsed, 6),
-                        "seed": cfg.seed,
-                    }
+                accuracies = tuple(
+                    float(np.mean(cascade.predict_batch(X) == y)) for X, y in _splits(data)
                 )
+                elapsed = time.perf_counter() - start
+                rows.append(_uci_row(
+                    cfg, name, "DF-2", size, width, 2 * width, total_leaves(cascade),
+                    model_dim(cascade), accuracies, elapsed,
+                ))
     return rows
 
 

@@ -47,7 +47,6 @@ from .tree import Leaf, Node, Tree, evaluate_batch, walk
 class TrainConfig:
     max_depth: Optional[int] = None
     max_leaves: Optional[int] = None
-    min_samples_split: int = 2
     seed: int = 0
     n_trees: int = 1
     feature_subsample: str = "all"  # "all" | "sqrt"
@@ -56,8 +55,6 @@ class TrainConfig:
     augment_mode: str = "label"  # "label" | "classvector"
 
     def __post_init__(self):
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if self.cascade_depth < 1:
@@ -438,7 +435,7 @@ class _Grower:
         splits. seeds[j] is node j's tree seed."""
         labels = self.classes[counts.argmax(axis=1)]  # first max = lowest class
         cfg = self.cfg
-        splittable = (size >= cfg.min_samples_split) & (counts.max(axis=1) < size)
+        splittable = counts.max(axis=1) < size  # impure, so at least two rows
         if cfg.max_depth is not None and depth >= cfg.max_depth:
             splittable[:] = False
         candidates = splittable.nonzero()[0]

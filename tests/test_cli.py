@@ -135,6 +135,21 @@ def test_experiment_rejects_bad_sim_config(tmp_path, capsys, line):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "line", ["ns = 0", "ns = 2,-1", "a_values = 0", "a_values = 3,-2", "a_value = 3", "ns = two"],
+)
+def test_experiment_rejects_bad_gini_config(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[experiment]\nid = gini\n\n[gini]\n{line}\n", encoding="utf-8")
+    out_dir = tmp_path / "results"
+    code, out, err = run_cli(
+        capsys, "experiment", "gini", "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_train_rejects_non_finite_csv(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("f1,label\n1.0,1\nnan,-1\n", encoding="utf-8")

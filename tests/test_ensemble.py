@@ -6,20 +6,16 @@ import pytest
 from deeptrees import ensemble
 from deeptrees.construct import build_parity_deeptree
 from deeptrees.ensemble import (
-    TIE_NEGATIVE,
-    TIE_POSITIVE,
-    TIE_SEEDED,
     CascadeForest,
     DeepTree,
     Forest,
     SizeBudget,
-    _break_tie,
     model_dim,
     predict_batch,
     resolve_votes,
     total_leaves,
 )
-from deeptrees.errors import FeatureOutOfRange, SizeBudgetExceeded
+from deeptrees.errors import FeatureOutOfRange
 from deeptrees.lattice import LatticeSpace, ParityConcept
 from deeptrees.learn import TrainConfig, train_cascade, train_forest
 from deeptrees.rng import generator
@@ -35,30 +31,22 @@ def test_majority_vote():
 
 
 def test_tie_rules():
-    pair = (Leaf(1), Leaf(-1))
-    assert Forest(pair).predict([0.0]) == -1  # default breaks down
-    assert Forest(pair, tie_rule=TIE_POSITIVE).predict([0.0]) == 1
-    seeded = Forest(pair, tie_rule=TIE_SEEDED, tie_seed=5)
-    x = np.array([[0.25], [0.75], [0.25]])
-    first = seeded.predict_batch(x)
-    again = seeded.predict_batch(x)
-    assert np.array_equal(first, again)
-    assert first[0] == first[2]  # same point, same coin
+    for pair in ((Leaf(1), Leaf(-1)), (Leaf(-1), Leaf(1))):
+        assert Forest(pair).predict([0.0]) == -1
+        assert Forest(pair).predict_batch(np.zeros((2, 1))).tolist() == [-1, -1]
 
 
-def reference_vote(votes, tie_rule, tie_seed, X):
-    """Per-row majority over an (n_trees, m) vote matrix, ties one row at a time."""
-    classes = np.unique(votes)
-    counts = np.stack([(votes == c).sum(axis=0) for c in classes], axis=1)
-    best = counts.max(axis=1)
-    out = np.empty(X.shape[0], dtype=np.int64)
-    for r in range(X.shape[0]):
-        tied = classes[counts[r] == best[r]]
-        if len(tied) == 1:
-            out[r] = tied[0]
-        else:
-            out[r] = _break_tie(tied, tie_rule, tie_seed, X[r])
-    return out
+def reference_vote(votes):
+    """Per-row majority over an (n_trees, m) vote matrix, and whether each
+    row is tied; a tie goes to the lowest tied label."""
+    out, tied_rows = [], []
+    for column in votes.T:
+        tally = Counter(column.tolist())
+        best = max(tally.values())
+        tied = [label for label, count in tally.items() if count == best]
+        out.append(min(tied))
+        tied_rows.append(len(tied) > 1)
+    return np.array(out, dtype=np.int64), np.array(tied_rows)
 
 
 def lookup_tree(labels):
@@ -76,24 +64,22 @@ def lookup_tree(labels):
 @pytest.mark.parametrize(
     "labels", [(-1, 1), (0, 1, 2), (-7, -2, 3, 10), (2, 5, 11, 40, 41)]
 )
-@pytest.mark.parametrize("tie_rule", [TIE_NEGATIVE, TIE_POSITIVE, TIE_SEEDED])
-def test_vote_matches_per_row_reference(labels, tie_rule):
-    rng = generator(len(labels), "vote-reference", tie_rule)
+def test_vote_matches_per_row_reference(labels):
+    rng = generator(len(labels), "vote-reference")
+    ties = 0
     for n_trees in (2, 4, 6):  # even widths and few trees per class: many ties
         votes = np.array(labels)[rng.integers(0, len(labels), size=(n_trees, 40))]
         X = np.column_stack([np.arange(40.0), rng.random(40)])
-        seeds = (3, 17, 2024) if tie_rule == TIE_SEEDED else (None,)
-        for tie_seed in seeds:
-            expected = reference_vote(votes, tie_rule, tie_seed, X)
-            forest = Forest(
-                tuple(lookup_tree(v) for v in votes), tie_rule=tie_rule, tie_seed=tie_seed
-            )
-            assert np.array_equal(forest.predict_batch(X), expected)
-            assert [forest.predict(x) for x in X] == expected.tolist()
-            # a superset of the voted classes changes nothing
-            classes = np.array(sorted(set(labels) | {min(labels) - 5, max(labels) + 5}))
-            counts = np.stack([(votes == c).sum(axis=0) for c in classes], axis=1)
-            assert np.array_equal(resolve_votes(classes, counts, tie_rule, tie_seed, X), expected)
+        expected, tied = reference_vote(votes)
+        ties += int(tied.sum())
+        forest = Forest(tuple(lookup_tree(v) for v in votes))
+        assert np.array_equal(forest.predict_batch(X), expected)
+        assert [forest.predict(x) for x in X] == expected.tolist()
+        # a superset of the voted classes changes nothing
+        classes = np.array(sorted(set(labels) | {min(labels) - 5, max(labels) + 5}))
+        counts = np.stack([(votes == c).sum(axis=0) for c in classes], axis=1)
+        assert np.array_equal(resolve_votes(classes, counts), expected)
+    assert ties >= 10, "the sample must exercise ties"
 
 
 def test_forest_point_query_rejects_narrow_rows():
@@ -204,19 +190,6 @@ def test_size_budget():
     assert not budget.admits(big)
 
 
-def test_budget_enforced_on_construction():
-    space_n = 1
-    big = Node(1, 1.0, PARITY_2x2, PARITY_2x2)
-    with pytest.raises(SizeBudgetExceeded):
-        Forest((big,), ambient_dim=space_n)
-    with pytest.raises(SizeBudgetExceeded):
-        DeepTree((big, Leaf(1)), input_dim=space_n)
-    # later layers get one extra ambient dimension
-    DeepTree((Leaf(-1), Node(2, 0.0, Leaf(1), Leaf(-1))), input_dim=1)
-    with pytest.raises(SizeBudgetExceeded):
-        DeepTree((big,), input_dim=1)
-
-
 def test_forest_requires_trees():
     with pytest.raises(ValueError):
         Forest(())
@@ -237,18 +210,13 @@ def test_cascade_forest_stages():
     assert cascade.predict(X[0]) == 0
 
 
-@pytest.mark.parametrize("tie_rule", [TIE_NEGATIVE, TIE_POSITIVE, TIE_SEEDED])
-def test_cascade_forest_point_matches_batch(tie_rule):
+def test_cascade_forest_point_matches_batch():
     # an even width and three classes leave ties in the last layer's vote
     rng = generator(7, "cascade-forest-point")
     X = rng.random((300, 3)) * 4
     y = np.floor(X[:, 0] + X[:, 1]).astype(np.int64) % 3
-    trained = train_cascade(
+    cascade = train_cascade(
         X, y, TrainConfig(max_depth=2, n_trees=4, cascade_depth=3, augment_mode="classvector")
-    )
-    cascade = CascadeForest(
-        tuple(Forest(layer.trees, tie_rule=tie_rule, tie_seed=11) for layer in trained.layers),
-        trained.classes,
     )
     rows = rng.random((200, 3)) * 4
     batch = cascade.predict_batch(rows)
@@ -270,21 +238,18 @@ def test_deeptree_point_query_rejects_narrow_rows():
 # single-row routing through the split table
 # ---------------------------------------------------------------------------
 
-TIE_RULES = (TIE_NEGATIVE, TIE_POSITIVE, TIE_SEEDED)
 MODEL_KINDS = ("forest", "deeptree", "cascade")
 LABEL_SETS = ((-1, 1), (0, 1, 2), (-7, -2, 3, 10), (2, 5, 11, 40, 41))
 N_RAW = 3
 
 
 def reference_forest_point(forest, x):
-    """The per-member Counter vote on Node objects that the split table replaced."""
+    """The per-member Counter vote on Node objects that the split table
+    replaced; a tie goes to the lowest tied label."""
     x = np.asarray(x, dtype=np.float64)
     votes = Counter(evaluate(tree, x) for tree in forest.trees)
     best = max(votes.values())
-    tied = [label for label, count in votes.items() if count == best]
-    if len(tied) == 1:
-        return tied[0]
-    return _break_tie(tied, forest.tie_rule, forest.tie_seed, x)
+    return min(label for label, count in votes.items() if count == best)
 
 
 def reference_point(model, x):
@@ -317,7 +282,7 @@ def labelled_tree(rng, cuts, labels, splits):
     )
 
 
-def random_model(rng, kind, labels, tie_rule=TIE_NEGATIVE, tie_seed=None):
+def random_model(rng, kind, labels):
     """A random forest, deep tree or class-vector cascade forest over N_RAW
     raw features on the half-integer grid 0..4.5, so rows hit thresholds
     exactly. Later layers also split on the augmented features: a previous
@@ -329,7 +294,7 @@ def random_model(rng, kind, labels, tie_rule=TIE_NEGATIVE, tie_seed=None):
     def forest(cuts):
         n_trees = int(rng.integers(1, 8))
         trees = tuple(labelled_tree(rng, cuts, labels, int(rng.integers(7))) for _ in range(n_trees))
-        return Forest(trees, tie_rule=tie_rule, tie_seed=tie_seed)
+        return Forest(trees)
 
     depth = int(rng.integers(1, 5))
     if kind == "forest":
@@ -366,14 +331,12 @@ def forest_ties(forest, X) -> int:
 
 
 @pytest.mark.parametrize("labels", LABEL_SETS)
-@pytest.mark.parametrize("tie_rule", TIE_RULES)
-def test_point_router_matches_reference_and_batch(labels, tie_rule):
-    rng = generator(len(labels), "point-router", tie_rule)
+def test_point_router_matches_reference_and_batch(labels):
+    rng = generator(len(labels), "point-router")
     ties = leaf_members = 0
     for kind in MODEL_KINDS:
         for trial in range(12):
-            tie_seed = int(rng.integers(1000)) if tie_rule == TIE_SEEDED else None
-            model = random_model(rng, kind, labels, tie_rule, tie_seed)
+            model = random_model(rng, kind, labels)
             X = random_rows(rng, 40)
             assert_point_answers(model, X)
             if kind == "forest":

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,6 +335,36 @@ tree_sizes = 8,16
     assert cfg2.sample_count == 100_000
 
 
+@pytest.mark.parametrize("name", ["sim", "gini", "bounds", "uci"])
+def test_shipped_configs_spell_out_the_defaults(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini"
+    assert load_config(path) == ExperimentConfig(name)
+
+
+@pytest.mark.parametrize(
+    "text, words",
+    [
+        ("[experiment]\nid = sim\n\n[sim]\nsample_count = abc\n", ("[sim] sample_count", "'abc'")),
+        ("[experiment]\nseed = 1.5\n", ("[experiment] seed", "'1.5'")),
+        ("[sim]\nns = 2\n", ("missing [experiment] section",)),
+        ("[experiment]\nid = sim\nseed\n", ("cfg.ini", "'seed")),
+        ("id = sim\n", ("cfg.ini", "no section headers")),
+        ("[experiment]\nid = sim\n[experiment]\nseed = 1\n", ("'experiment' already exists",)),
+        ("[experiment]\nid = sim\n\n[sim]\nnss = 2\n", ("unknown key 'nss' in [sim]",)),
+        ("[experiment]\nid = sim\n\n[simulation]\nns = 2\n", ("unknown key 'ns' in [simulation]",)),
+    ],
+    ids=["non-integer", "float-seed", "no-experiment-section", "no-value", "no-header",
+         "repeated-section", "unknown-key", "unknown-section"],
+)
+def test_malformed_config_file_raises_config_error(tmp_path, text, words):
+    path = tmp_path / "cfg.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as caught:
+        load_config(path)
+    for word in words:
+        assert word in str(caught.value)
+
+
 def test_explicit_sample_count_overrides_scale(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[experiment]\nid = sim\nscale = paper\n\n[sim]\nsample_count = 1234\n", encoding="utf-8")
@@ -360,7 +391,9 @@ def test_config_validation():
         ("T", "RF-3 "), ("RF-3", "DT-2", "RF-3"), ("RF-3", "RF-03"), ("T", "T"),
     )] + [dict(sim_depths=(-1, 3)), dict(uci_rf_widths=(0, 4)), dict(scale="galactic")]
     + [dict(sim_ns=(0,)), dict(sim_ns=(2, -1)), dict(sim_ns=(2, 4, 2)), dict(sim_depths=(2, 2))]
-    + [dict(sim_sample_count=count) for count in (1, 0, -5)],
+    + [dict(sim_sample_count=count) for count in (1, 0, -5)]
+    + [dict(gini_ns=(2, 0)), dict(gini_a_values=(3, 0)), dict(gini_a_values=(-2,))]
+    + [dict(uci_df_widths=(25, 0))],
     ids=lambda bad: ",".join(f"{key}={value}" for key, value in bad.items()),
 )
 def test_bad_config_rejected_with_config_error(bad):

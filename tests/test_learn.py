@@ -347,8 +347,6 @@ def test_splitter_agrees_with_reference_implementation():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(min_samples_split=1)
-    with pytest.raises(ValueError):
         TrainConfig(n_trees=0)
     with pytest.raises(ValueError):
         TrainConfig(cascade_depth=0)
@@ -529,7 +527,7 @@ def reference_grow(X, y, cfg, rows, tree_seed):
     def admit(idx, depth, node_id):
         counts = np.bincount(y_codes[idx], minlength=len(classes))
         majority[node_id] = int(classes[int(np.argmax(counts))])
-        if idx.size < cfg.min_samples_split or int(counts.max()) == idx.size:
+        if int(counts.max()) == idx.size:
             return
         if cfg.max_depth is not None and depth >= cfg.max_depth:
             return
@@ -578,10 +576,10 @@ def grown_by_every_entry_point(X, y, seed):
     """The trees of every training entry point, flattened in a fixed order."""
     models = [
         train_tree_grown(X, y, PLAIN),
-        train_tree_grown(X, y, TrainConfig(max_depth=3, min_samples_split=7, bootstrap=False)),
+        train_tree_grown(X, y, TrainConfig(max_depth=3, bootstrap=False)),
         train_tree_grown(X, y, TrainConfig(max_leaves=9, bootstrap=False)),
         *train_forest_grown(
-            X, y, TrainConfig(seed=seed, n_trees=4, feature_subsample="sqrt", min_samples_split=3)
+            X, y, TrainConfig(seed=seed, n_trees=4, feature_subsample="sqrt")
         ),
         *train_forest_grown(
             X, y, TrainConfig(max_depth=4, seed=seed, n_trees=3, bootstrap=False, feature_subsample="sqrt")

@@ -8,31 +8,48 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from deeptrees import learn  # noqa: E402
+from deeptrees.construct import build_parity_deeptree, compile_to_deeptree  # noqa: E402
+from deeptrees.lattice import LatticeSpace  # noqa: E402
 from deeptrees.rng import generator  # noqa: E402
 
 from test_ensemble import (  # noqa: E402
     MODEL_KINDS,
-    TIE_RULES,
     assert_point_answers,
     random_model,
     random_rows,
 )
 from test_learn import assert_grows_like_reference, growth_corpus  # noqa: E402
+from test_sexpr import assert_round_trip  # noqa: E402
+from test_tree import random_tree  # noqa: E402
 
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(
     labels=st.lists(st.integers(-50, 50), min_size=2, max_size=5, unique=True).map(sorted),
     kind=st.sampled_from(MODEL_KINDS),
-    tie_rule=st.sampled_from(TIE_RULES),
-    tie_seed=st.integers(0, 2**32 - 1),
     seed=st.integers(0, 2**32 - 1),
     nan_share=st.sampled_from((0.0, 0.1, 0.5)),
 )
-def test_point_router_equals_reference_and_batch(labels, kind, tie_rule, tie_seed, seed, nan_share):
+def test_point_router_equals_reference_and_batch(labels, kind, seed, nan_share):
     rng = generator(seed, "router-property")
-    model = random_model(rng, kind, tuple(labels), tie_rule, tie_seed)
+    model = random_model(rng, kind, tuple(labels))
     assert_point_answers(model, random_rows(rng, 30, nan_share))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    labels=st.lists(st.integers(-50, 50), min_size=2, max_size=5, unique=True).map(sorted),
+    kind=st.sampled_from(MODEL_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 5),
+    n=st.integers(1, 4),
+)
+def test_print_parse_round_trip(labels, kind, seed, p, n):
+    rng = generator(seed, "round-trip-property")
+    space = LatticeSpace(n, p)
+    assert_round_trip(random_model(rng, kind, tuple(labels)))
+    assert_round_trip(build_parity_deeptree(p, n))
+    assert_round_trip(compile_to_deeptree(random_tree(rng, space, max_extra_splits=8), space))
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -1,13 +1,24 @@
+import numpy as np
 import pytest
 
+from deeptrees.construct import build_parity_deeptree, compile_to_deeptree
 from deeptrees.ensemble import CascadeForest, DeepTree, Forest
 from deeptrees.errors import ArityError, LabelDomainError, ModelSyntaxError
 from deeptrees.lattice import LatticeSpace
+from deeptrees.learn import TrainConfig, train_cascade, train_forest, train_tree
 from deeptrees.rng import generator
 from deeptrees.sexpr import parse_model, print_model
 from deeptrees.tree import Leaf, Node
 
+from test_ensemble import LABEL_SETS, MODEL_KINDS, random_model
 from test_tree import DEEP, deep_chain, random_tree
+
+
+def assert_round_trip(model):
+    """The model text holds the whole model: parsing it back gives an equal
+    model with an equal hash."""
+    copy = parse_model(print_model(model))
+    assert copy == model and hash(copy) == hash(model)
 
 
 def test_parse_leaf():
@@ -48,6 +59,41 @@ def test_roundtrip_ensembles():
     assert parse_model(print_model(forest)) == forest
     deep = CascadeForest((Forest((Leaf(0), Leaf(1))), Forest((Leaf(2),))), (0, 1, 2))
     assert parse_model(print_model(deep)) == deep
+
+
+def test_roundtrip_trained_models():
+    rng = generator(11, "sexpr-trained")
+    X = rng.random((300, 3)) * 4
+    y = np.array([-3, 4, 9])[np.floor(X[:, 0] + X[:, 1]).astype(np.int64) % 3]
+    for model in (
+        train_tree(X, y, TrainConfig(max_depth=5, bootstrap=False)),
+        train_tree(X, y, TrainConfig(max_leaves=6, seed=1)),
+        train_forest(X, y, TrainConfig(max_depth=4, seed=2, n_trees=6, feature_subsample="sqrt")),
+        train_cascade(X, y, TrainConfig(max_depth=3, seed=2, cascade_depth=3)),
+        train_cascade(
+            X, y, TrainConfig(max_depth=2, seed=2, n_trees=4, cascade_depth=2, augment_mode="classvector")
+        ),
+    ):
+        assert_round_trip(model)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_roundtrip_random_models(kind):
+    rng = generator(12, "sexpr-random-models", kind)
+    for labels in LABEL_SETS:
+        for _ in range(10):
+            assert_round_trip(random_model(rng, kind, labels))
+
+
+def test_roundtrip_constructed_cascades():
+    for p, n in ((1, 1), (2, 1), (4, 2), (3, 3), (5, 4)):
+        assert_round_trip(build_parity_deeptree(p, n))
+    rng = generator(13, "sexpr-compiled")
+    for n in (1, 2, 3):
+        space = LatticeSpace(n, 4)
+        assert_round_trip(compile_to_deeptree(Leaf(1), space))
+        for _ in range(10):
+            assert_round_trip(compile_to_deeptree(random_tree(rng, space, max_extra_splits=8), space))
 
 
 def test_integer_thresholds_print_bare():
