@@ -29,6 +29,7 @@ from .data_io import (
     fetch_dataset,
     generate_simulation,
     read_csv,
+    read_text,
     write_csv,
 )
 from .ensemble import Forest, model_dim, total_leaves
@@ -68,7 +69,7 @@ def _make_concept(args, space):
 
 
 def _read_model(path):
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    return parse_model(read_text(path))
 
 
 def _write_model(model, path):
@@ -278,7 +279,7 @@ def cmd_experiment(args):
 
 
 def cmd_plot(args):
-    text = Path(args.table).read_text(encoding="utf-8").splitlines()
+    text = read_text(args.table).splitlines()
     header = text[0].split(",")
     rows = []
     for line in text[1:]:

@@ -18,7 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ChecksumMismatch, EmptyDataset, MalformedRow, UnreachableSource
+from .errors import (
+    ChecksumMismatch,
+    EmptyDataset,
+    MalformedRow,
+    UnreachableSource,
+    UnreadableFile,
+)
 from .lattice import LatticeSpace, ProductDistribution, UniformDistribution
 from .rng import generator
 
@@ -120,6 +126,17 @@ def generate_simulation(spec: SimulationSpec) -> LabeledDataset:
 # ---------------------------------------------------------------------------
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; UnreadableFile names the path when it
+    is missing, is a directory or cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read {path}: {exc.strerror or exc}", path) from None
+    except UnicodeDecodeError:
+        raise UnreadableFile(f"cannot read {path}: not UTF-8 text", path) from None
+
+
 def write_csv(X, y, path, feature_names=None):
     """Header row of feature names plus "label"; floats at 17 significant digits."""
     X = np.asarray(X, dtype=np.float64)
@@ -148,7 +165,7 @@ def read_csv(path):
 
     Errors carry the file's own line number; blank lines are skipped.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise EmptyDataset(f"{path} holds no rows")
@@ -282,7 +299,7 @@ def _parse_rows(path: Path, manifest: DatasetManifest):
     rows = []
     raw_labels = []
     line_nos = []
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     for line_no, line in enumerate(lines, start=1):
         if line_no <= manifest.skip_lines or not line.strip():
             continue

@@ -80,6 +80,15 @@ class MalformedRow(DeepTreesError):
         self.line = line
 
 
+class UnreadableFile(DeepTreesError):
+    """A named input file is missing, is not a file, or cannot be read as
+    UTF-8 text; carries the path."""
+
+    def __init__(self, message, path):
+        super().__init__(message)
+        self.path = path
+
+
 class ChecksumMismatch(DeepTreesError):
     """A fetched file's digest does not match the manifest."""
 

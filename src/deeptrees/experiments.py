@@ -27,6 +27,7 @@ from .data_io import (
     SimulationSpec,
     fetch_dataset,
     generate_simulation,
+    read_text,
     split_sizes,
 )
 from .ensemble import (
@@ -218,7 +219,7 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+        parser.read_string(read_text(path), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
     if not parser.has_section("experiment"):

@@ -141,9 +141,6 @@ class LatticeDistribution:
 
     space: LatticeSpace
 
-    def point_mass(self, x) -> float:
-        return float(self.mass_fraction(x))
-
     def mass_fraction(self, x) -> Fraction:
         raise NotImplementedError
 

@@ -9,17 +9,20 @@ is what lets a tree fit parity under the uniform distribution.
 Trees grow in batches: a forest's members together, a single tree (T,
 each label-cascade layer) as a batch of one. Depth-first growth runs
 level by level over one frontier shared by the whole batch. Each
-splittable node draws its feature order from its own seed stream, and
-step s scores every node's s-th feature, one scoring pass per run of
-consecutive frontier nodes that read that feature and hold at most
-PASS_ROWS rows; a larger node is scored alone. So a level of many small
-nodes costs a few numpy calls per feature, not per node. A node's gains
-read only its own rows' class counts at boundaries between distinct
-values, with the same elementwise float operations in a pass of any
-length, so batching, pass budget and the order of equal values change
-no tree. Splits are numbered in pre-order afterwards, the order in which
-depth-first growth realizes them. Best-first growth (a leaf budget)
-grows each member alone, highest gain first, on a gain heap.
+splittable node reads the features in the order of its own seed stream,
+generator(tree seed, "node", node id); a level derives all its nodes'
+orders in one batch (rng.permutations), the same permutations the
+per-node streams give. Step s scores every node's s-th feature, one
+scoring pass per run of consecutive frontier nodes that read that
+feature and hold at most PASS_ROWS rows; a larger node is scored alone.
+So a level of many small nodes costs a few numpy calls per feature, not
+per node. A node's gains read only its own rows' class counts at
+boundaries between distinct values, with the same elementwise float
+operations in a pass of any length, so batching, pass budget and the
+order of equal values change no tree. Splits are numbered in pre-order
+afterwards, the order in which depth-first growth realizes them.
+Best-first growth (a leaf budget) grows each member alone, highest gain
+first, on a gain heap.
 
 Training returns plain Leaf/Node trees whose nodes also record their
 majority label and realization order, so a single deep run can be
@@ -39,7 +42,7 @@ import numpy as np
 
 from .ensemble import CascadeForest, DeepTree, Forest, predict_batch
 from .errors import EmptyDataset, FeatureOutOfRange, NonFiniteFeature, NonIntegralLabel
-from .rng import generator, seed_sequence
+from .rng import generator, permutations, seed_sequence
 from .tree import Leaf, Node, Tree, evaluate_batch, walk
 
 
@@ -462,9 +465,7 @@ class _Grower:
         parent_gini = 1.0 - ((counts / size[:, None]) ** 2).sum(axis=1)
         orders = None  # every node reads the features in index order
         if self.cfg.feature_subsample != "all":
-            orders = np.array([
-                generator(seed, "node", node_id).permutation(n) for seed, node_id in zip(seeds, ids)
-            ], dtype=np.int64).reshape(k, n)
+            orders = permutations(seeds, "node", ids, n)
         gains = np.empty((n, k))  # by feature; -inf where not examined or constant
         gains[:] = -np.inf
         thresholds = np.zeros((n, k))

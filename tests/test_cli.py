@@ -214,3 +214,41 @@ def test_compile_tree_rejects_non_binary_labels(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "{-1, +1}" in err
     assert not out_path.exists()
+
+
+
+def _unreadable_input_commands(tmp_path):
+    """(argv, unreadable path) of each command that reads a named file."""
+    data = tmp_path / "x.csv"
+    write_csv(np.array([[1.0], [2.0]]), np.array([1, -1]), data)
+    out = ("--out", str(tmp_path / "r"))
+    return {
+        "config": (("experiment", "sim", "--config", str(tmp_path / "missing.ini"), *out),
+                   tmp_path / "missing.ini"),
+        "config-dir": (("experiment", "sim", "--config", str(tmp_path), *out), tmp_path),
+        "model": (("eval", "--model", str(tmp_path / "missing.sexp"), "--data", str(data)),
+                  tmp_path / "missing.sexp"),
+        "data": (("train", "--model", "tree", "--data", str(tmp_path / "no" / "d.csv"),
+                  "--out", str(tmp_path / "r.sexp")), tmp_path / "no" / "d.csv"),
+        "table": (("plot", "--kind", "sim", "--table", str(tmp_path / "sim.csv"), *out),
+                  tmp_path / "sim.csv"),
+    }
+
+
+@pytest.mark.parametrize("case", ["config", "config-dir", "model", "data", "table"])
+def test_unreadable_input_file_exits_with_error_line(tmp_path, capsys, case):
+    argv, path = _unreadable_input_commands(tmp_path)[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}:") and "Traceback" not in err
+    assert not (tmp_path / "r").exists() and not (tmp_path / "r.sexp").exists()
+
+
+def test_non_utf8_config_exits_with_error_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_bytes(b"[experiment]\nid = sim\n\xff\xfe\n")
+    code, out, err = run_cli(
+        capsys, "experiment", "sim", "--config", str(cfg), "--out", str(tmp_path / "r")
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {cfg}: not UTF-8 text\n"

@@ -572,6 +572,10 @@ def growth_corpus(seed, rows, cols, n_classes, levels):
     return X, y
 
 
+def unbounded_sqrt_forest(seed):
+    return TrainConfig(seed=seed, n_trees=3, bootstrap=False, feature_subsample="sqrt")
+
+
 def grown_by_every_entry_point(X, y, seed):
     """The trees of every training entry point, flattened in a fixed order."""
     models = [
@@ -581,6 +585,7 @@ def grown_by_every_entry_point(X, y, seed):
         *train_forest_grown(
             X, y, TrainConfig(seed=seed, n_trees=4, feature_subsample="sqrt")
         ),
+        *train_forest_grown(X, y, unbounded_sqrt_forest(seed)),
         *train_forest_grown(
             X, y, TrainConfig(max_depth=4, seed=seed, n_trees=3, bootstrap=False, feature_subsample="sqrt")
         ),
@@ -622,3 +627,16 @@ def test_batch_growth_equals_reference_grower(monkeypatch, seed, pass_rows):
     X, y = growth_corpus(seed, rows=90 + 40 * seed, cols=2 + seed % 4, n_classes=2 + seed % 4,
                          levels=(3, 5, 40)[seed % 3])
     assert_grows_like_reference(monkeypatch, X, y, seed)
+
+
+def test_deep_sqrt_forest_equals_reference_grower(monkeypatch):
+    """Node ids past 2**32 and 2**64. Labels alternate along feature 1 and
+    feature 2 mirrors it, so trees are chains and each node's own feature
+    order decides which feature records its split."""
+    x = np.arange(80, dtype=np.float64)
+    X, y = np.column_stack((x, -x)), np.where(np.arange(80) % 2 == 0, -1, 1)
+    forest = train_forest_grown(X, y, unbounded_sqrt_forest(0))
+    assert min(max(depth for _, depth in walk(tree)) for tree in forest) > 64
+    features = {node.feature for tree in forest for node, _ in walk(tree) if isinstance(node, Node)}
+    assert features == {1, 2}
+    assert_grows_like_reference(monkeypatch, X, y, 0)

@@ -2,6 +2,7 @@
 installed. The fixed-seed cases of the same properties live next to the
 code they test and run without it."""
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from deeptrees import learn  # noqa: E402
 from deeptrees.construct import build_parity_deeptree, compile_to_deeptree  # noqa: E402
 from deeptrees.lattice import LatticeSpace  # noqa: E402
-from deeptrees.rng import generator  # noqa: E402
+from deeptrees.rng import generator, permutations  # noqa: E402
 
 from test_ensemble import (  # noqa: E402
     MODEL_KINDS,
@@ -19,6 +20,7 @@ from test_ensemble import (  # noqa: E402
     random_rows,
 )
 from test_learn import assert_grows_like_reference, growth_corpus  # noqa: E402
+from test_rng import per_node_permutations  # noqa: E402
 from test_sexpr import assert_round_trip  # noqa: E402
 from test_tree import random_tree  # noqa: E402
 
@@ -67,3 +69,16 @@ def test_batch_growth_equals_reference_grower(seed, rows, cols, n_classes, level
         if pass_rows is not None:
             patch.setattr(learn, "PASS_ROWS", pass_rows)
         assert_grows_like_reference(patch, X, y, seed % 1000)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 2**70 - 1), st.integers(0, 2**70 - 1)), max_size=50),
+    n=st.integers(1, 40),
+)
+def test_batched_permutations_equal_per_node_streams(pairs, n):
+    seeds = [seed for seed, _ in pairs]
+    ids = [node_id for _, node_id in pairs]
+    assert np.array_equal(
+        permutations(seeds, "node", ids, n), per_node_permutations(seeds, "node", ids, n)
+    )
