@@ -31,6 +31,7 @@ from .data_io import (
     read_csv,
     read_text,
     write_csv,
+    write_text,
 )
 from .ensemble import Forest, model_dim, total_leaves
 from .errors import DeepTreesError
@@ -73,7 +74,7 @@ def _read_model(path):
 
 
 def _write_model(model, path):
-    Path(path).write_text(print_model(model) + "\n", encoding="utf-8")
+    write_text(path, print_model(model) + "\n")
 
 
 def _emit(lines):

@@ -24,6 +24,7 @@ from .errors import (
     MalformedRow,
     UnreachableSource,
     UnreadableFile,
+    UnwritableFile,
 )
 from .lattice import LatticeSpace, ProductDistribution, UniformDistribution
 from .rng import generator
@@ -137,6 +138,15 @@ def read_text(path) -> str:
         raise UnreadableFile(f"cannot read {path}: not UTF-8 text", path) from None
 
 
+def write_text(path, text: str):
+    """Write text to a file as UTF-8; UnwritableFile names the path when it
+    cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UnwritableFile(f"cannot write {path}: {exc.strerror or exc}", path) from None
+
+
 def write_csv(X, y, path, feature_names=None):
     """Header row of feature names plus "label"; floats at 17 significant digits."""
     X = np.asarray(X, dtype=np.float64)
@@ -146,7 +156,7 @@ def write_csv(X, y, path, feature_names=None):
     lines = [",".join(list(feature_names) + ["label"])]
     for row, label in zip(X, y):
         lines.append(",".join(f"{v:.17g}" for v in row) + f",{int(label)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _require_finite(X: np.ndarray, line_nos: list, where: str = ""):

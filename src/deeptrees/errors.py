@@ -89,6 +89,15 @@ class UnreadableFile(DeepTreesError):
         self.path = path
 
 
+class UnwritableFile(DeepTreesError):
+    """A named output file cannot be written (a missing directory, a
+    directory in its place, no permission); carries the path."""
+
+    def __init__(self, message, path):
+        super().__init__(message)
+        self.path = path
+
+
 class ChecksumMismatch(DeepTreesError):
     """A fetched file's digest does not match the manifest."""
 

@@ -29,9 +29,9 @@ from .data_io import (
     generate_simulation,
     read_text,
     split_sizes,
+    write_text,
 )
 from .ensemble import (
-    DeepTree,
     Forest,
     model_dim,
     predict_batch,
@@ -47,9 +47,9 @@ from .learn import (
     train_cascade,
     train_forest,
     train_forest_grown,
+    train_label_cascades,
     train_tree,
     train_tree_grown,
-    truncate_depth,
 )
 from .rng import generator
 from .tree import Leaf, Node, Region, dim_from_leaves, evaluate_batch, leaf_count, tree_labels
@@ -254,7 +254,7 @@ def write_table(rows, columns, path):
         lines.append(",".join(_format_cell(row.get(c)) for c in columns))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -370,29 +370,32 @@ def _cascade_rows(cfg, subject, names, tree_grown, data, depths) -> dict:
     names maps each cascade depth k to its model name. Layer d of a label
     cascade depends only on (seed, d) and the layers below it, so DT-k is
     the first k layers of the deepest cascade, and layer_predictions scores
-    every prefix in one layered pass. At each depth the deepest DT row
-    carries the cascade's training, the shallower rows 0.
+    every prefix in one layered pass. The cascades of all depth budgets are
+    trained together by train_label_cascades, layer 1 being the grown T,
+    so the deepest DT model's deepest cell carries all their training and
+    every other cell 0.
     """
     deepest_cascade = max(names)
+    deepest = max(depths)
+    start = time.perf_counter()
+    cascades = train_label_cascades(
+        data.train_X, data.train_y, TrainConfig(seed=cfg.seed, cascade_depth=deepest_cascade),
+        depths, first_layer=tree_grown,
+    )
+    elapsed = time.perf_counter() - start
     rows: dict = {name: [] for name in names.values()}
-    for depth in depths:
-        cascade_cfg = TrainConfig(
-            max_depth=depth, seed=cfg.seed, cascade_depth=deepest_cascade, augment_mode="label"
-        )
-        start = time.perf_counter()
-        first = truncate_depth(tree_grown, depth)
-        cascade = train_cascade(data.train_X, data.train_y, cascade_cfg, first_layer=first)
-        elapsed = time.perf_counter() - start
+    for depth, cascade in zip(depths, cascades):
         predictions = [
             (list(cascade.layer_predictions(X)), y) for X, y in _splits(data)
         ]
+        layer_leaves = np.array([leaf_count(layer) for layer in cascade.layers])
+        leaves, dims = np.cumsum(layer_leaves), np.cumsum(dim_from_leaves(layer_leaves))
         for k, name in names.items():
-            prefix = DeepTree(cascade.layers[:k])
             accuracies = tuple(float(np.mean(labels[k - 1] == y)) for labels, y in predictions)
             rows[name].append(
                 _sim_row(
-                    cfg, subject, name, depth, total_leaves(prefix), model_dim(prefix),
-                    accuracies, elapsed if k == deepest_cascade else 0.0,
+                    cfg, subject, name, depth, int(leaves[k - 1]), int(dims[k - 1]),
+                    accuracies, elapsed if (k, depth) == (deepest_cascade, deepest) else 0.0,
                 )
             )
     return rows
@@ -408,15 +411,16 @@ def run_simulation(cfg: ExperimentConfig) -> list:
     only on (seed, t), so every narrower RF-N is a prefix of the widest
     forest. One walk of each grown tree per split scores every depth
     (depth_labels), running vote counts read off every width, and
-    depth_leaf_counts gives the leaf counts. At each depth one label
-    cascade of the largest DT depth is trained: its layer d depends only
-    on (seed, d) and the layers below, so every shallower DT-k is its
-    first k layers, scored in one layered pass.
+    depth_leaf_counts gives the leaf counts. The label cascades of the
+    largest DT depth, one per depth, are trained together
+    (train_label_cascades); layer d of each depends only on (seed, d) and
+    the layers below, so every shallower DT-k is its first k layers,
+    scored in one layered pass.
 
     Rows follow sim_models, then depth. wall_time: T's deepest cell carries
     its growth plus scoring, the widest RF's deepest cell all forest
-    growth and scoring, and at each depth the deepest DT row the shared
-    cascade's training; every other cell carries 0.
+    growth and scoring, and the deepest DT model's deepest cell all
+    cascade training; every other cell carries 0.
     """
     depths = sorted(cfg.sim_depths)
     deepest = max(depths)

@@ -3,33 +3,43 @@
 The splitter is the usual sorted-sweep CART: candidate thresholds are
 midpoints between consecutive distinct feature values, the split with
 the highest Gini gain wins, and ties break to the lowest feature index
-then the lowest threshold. Impure nodes split even at zero gain, which
-is what lets a tree fit parity under the uniform distribution.
+then the lowest threshold. A midpoint that rounds up to the upper value
+or overflows falls back to the lower value, so every threshold sends
+the rows it was scored on both ways. Impure nodes split even at zero
+gain, which is what lets a tree fit parity under the uniform
+distribution.
 
-Trees grow in batches: a forest's members together, a single tree (T,
-each label-cascade layer) as a batch of one. Depth-first growth runs
-level by level over one frontier shared by the whole batch. Each
-splittable node reads the features in the order of its own seed stream,
-generator(tree seed, "node", node id); a level derives all its nodes'
-orders in one batch (rng.permutations), the same permutations the
-per-node streams give. Step s scores every node's s-th feature, one
-scoring pass per run of consecutive frontier nodes that read that
-feature and hold at most PASS_ROWS rows; a larger node is scored alone.
-So a level of many small nodes costs a few numpy calls per feature, not
-per node. A node's gains read only its own rows' class counts at
-boundaries between distinct values, with the same elementwise float
-operations in a pass of any length, so batching, pass budget and the
-order of equal values change no tree. Splits are numbered in pre-order
-afterwards, the order in which depth-first growth realizes them.
-Best-first growth (a leaf budget) grows each member alone, highest gain
-first, on a gain heap.
+Trees grow in batches: a forest's members together, a single tree (T)
+as a batch of one, and a label-cascade layer as one member per distinct
+input. Every member reads the raw features from one column-major copy of
+the training matrix and its ranks; a batch may also give each member a
+column of its own, read as feature n + 1, and each member has its own
+depth limit. Depth-first growth runs level by level over one frontier
+shared by the whole batch. Each splittable node reads the features in
+the order of its own seed stream, generator(tree seed, "node", node id);
+a level derives all its nodes' orders in one batch (rng.permutations),
+the same permutations the per-node streams give. Step s scores every
+node's s-th feature, one scoring pass per run of consecutive frontier
+nodes that read the same column and hold at most PASS_ROWS rows; a
+larger node is scored alone. So a level of many small nodes costs a few
+numpy calls per feature, not per node. A node's gains read only its own
+rows' class counts at boundaries between distinct values, with the same
+elementwise float operations in a pass of any length, so batching, pass
+budget and the order of equal values change no tree. Splits are
+numbered in pre-order afterwards, the order in which depth-first growth
+realizes them. Best-first growth (a leaf budget) grows each member
+alone, highest gain first, on a gain heap.
 
 Training returns plain Leaf/Node trees whose nodes also record their
 majority label and realization order, so a single deep run can be
 truncated to any smaller depth or leaf budget; the truncation equals
 retraining with the smaller budget because split decisions depend only
-on the node's own rows. Growth, assembly and truncation use explicit
-stacks or loops, so no depth is too deep to train.
+on the node's own rows. Label cascades use this across depth budgets:
+at each layer, budgets whose input (the raw rows plus the layer below's
+training predictions) is the same form a group, the group grows one
+member at its largest budget, and its smaller budgets take truncations
+of it. Growth, assembly and truncation use explicit stacks or loops, so
+no depth is too deep to train.
 """
 
 import heapq
@@ -196,14 +206,18 @@ def _passes(sizes) -> list:
     return cuts
 
 
-def _feature_best(X, y_codes, rows, start, size, counts, parent_gini, f, rank=None):
-    """Best split along 0-based feature f of every node of one scoring pass.
+def _feature_best(column, y_codes, rows, start, size, counts, parent_gini, rank=None):
+    """Best split along one column of every node of one scoring pass.
 
-    Node j of the pass holds rows[start[j]:start[j] + size[j]], its class
-    counts counts[j] and its Gini impurity parent_gini[j]. A one-node pass
-    sorts its values; a longer one sorts (node, rank[row]), with rank the
-    rank of each training row's value along f. Returns (gain, threshold)
-    arrays, gain -inf where a node's values along f are all equal.
+    column holds every training row's value. Node j of the pass holds
+    rows[start[j]:start[j] + size[j]], its class counts counts[j] and its
+    Gini impurity parent_gini[j]. A one-node pass sorts its values; a
+    longer one sorts (node, rank[row]), with rank the rank of each
+    training row's value in the column. Returns (gain, threshold) arrays,
+    gain -inf where a node's values are all equal. A threshold is the
+    midpoint of the two values it falls between, or the lower value when
+    the midpoint overflows or rounds up to the upper one, so it always
+    sends the lower value left and the upper right.
 
     The arithmetic is elementwise and in the same order for every node, so
     a node's gains are the same floats in a pass of any length.
@@ -212,7 +226,7 @@ def _feature_best(X, y_codes, rows, start, size, counts, parent_gini, f, rank=No
     if k == 1:
         lo = int(start[0])
         r = rows[lo:lo + int(size[0])]
-        vals = X[r, f]
+        vals = column[r]
         order = vals.argsort()
         r, sv = r[order], vals[order]
         cut = sv[:-1] < sv[1:]
@@ -221,7 +235,7 @@ def _feature_best(X, y_codes, rows, start, size, counts, parent_gini, f, rank=No
         node = np.arange(k).repeat(size)
         r = rows[(start - offset).repeat(size) + np.arange(node.size)]
         r = r[(node * rank.size + rank[r]).argsort()]
-        sv = X[r, f]
+        sv = column[r]
         cut = (sv[:-1] < sv[1:]) & (node[:-1] == node[1:])
     boundaries = cut.nonzero()[0]
     gain = np.empty(k)
@@ -260,8 +274,19 @@ def _feature_best(X, y_codes, rows, start, size, counts, parent_gini, f, rank=No
         pos = np.minimum.reduceat(np.where(gains == top, np.arange(gains.size), gains.size), heads)
     b = boundaries[pos]
     gain[owner] = gains[pos]
-    threshold[owner] = (sv[b] + sv[b + 1]) / 2.0
+    # on Python floats, whose sum overflows to inf without a warning
+    if k == 1:
+        threshold[0] = _between(float(sv[b]), float(sv[b + 1]))
+    else:
+        threshold[owner] = [_between(lo, hi) for lo, hi in zip(sv[b].tolist(), sv[b + 1].tolist())]
     return gain, threshold
+
+
+def _between(lower: float, upper: float) -> float:
+    """A threshold that sends lower left and upper right: their midpoint, or
+    lower when the midpoint overflows or rounds up to upper."""
+    middle = (lower + upper) / 2.0
+    return middle if math.isfinite(middle) and middle < upper else lower
 
 
 def _checked_labels(y) -> np.ndarray:
@@ -314,7 +339,14 @@ def _assemble_levels(levels) -> list:
 
 
 class _Grower:
-    """One batch of trees grown on the same training matrix.
+    """Batches of trees grown on the same training matrix.
+
+    The matrix is held a column at a time: columns[p] is physical column
+    p, every training row's value. Raw feature f + 1 is column f, shared
+    by every member; a batch may add one column per member, member t's
+    feature n + 1, at column n + t, which replace the previous batch's.
+    Ranks of the raw columns are kept across batches, so a grower reused
+    for several batches ranks each raw column once.
 
     Every member's rows sit in one index array, each tree in its own block,
     and a node owns a contiguous segment of it; a split partitions its
@@ -325,34 +357,33 @@ class _Grower:
     def __init__(self, X, y, cfg: TrainConfig):
         if len(X) == 0:
             raise EmptyDataset("cannot train on an empty dataset")
-        self.X = np.asarray(X, dtype=np.float64)
-        if not np.isfinite(self.X).all():
-            row, f = (int(v) for v in np.argwhere(~np.isfinite(self.X))[0])
+        X = np.asarray(X, dtype=np.float64)
+        if not np.isfinite(X).all():
+            row, f = (int(v) for v in np.argwhere(~np.isfinite(X))[0])
             raise NonFiniteFeature(
-                f"row {row} feature {f + 1} is {float(self.X[row, f])!r}; "
+                f"row {row} feature {f + 1} is {float(X[row, f])!r}; "
                 "training needs finite features", row, f + 1,
             )
         self.classes, self.y_codes = np.unique(_checked_labels(y), return_inverse=True)
         self.cfg = cfg
-        self.n_features = self.X.shape[1]
-        if cfg.feature_subsample == "sqrt":
-            self.n_examine = max(1, math.isqrt(self.n_features))
-        else:
-            self.n_examine = self.n_features
-        self.index_dtype = np.int32 if len(self.X) < 2**31 else np.int64
+        self.n_rows, self.n_raw = X.shape
+        self.columns = np.ascontiguousarray(X.T)
+        self.index_dtype = np.int32 if self.n_rows < 2**31 else np.int64
         self.ranks: dict = {}
 
-    def _rank(self, f):
-        """Each training row's rank along feature f: the number of rows with
-        a smaller value, so equal values share a rank."""
-        if f not in self.ranks:
-            column = self.X[:, f]
-            self.ranks[f] = np.searchsorted(np.sort(column), column).astype(self.index_dtype)
-        return self.ranks[f]
+    def _rank(self, p):
+        """Each training row's rank in column p: the number of rows with a
+        smaller value, so equal values share a rank."""
+        if p not in self.ranks:
+            column = self.columns[p]
+            self.ranks[p] = np.searchsorted(np.sort(column), column).astype(self.index_dtype)
+        return self.ranks[p]
 
-    def grow(self, seeds, member_rows) -> list:
+    def grow(self, seeds, member_rows, max_depths=None, own=None) -> list:
         """One grown tree per tree seed; member t trains on member_rows(t),
-        indices into X, the same count for every member.
+        indices into X, the same count for every member. max_depths[t] is
+        member t's depth limit (None: no limit; default cfg.max_depth for
+        every member) and own[t], when own is given, its feature n + 1.
 
         Depth-first growth (no leaf budget) runs level by level over one
         frontier shared by all members; best-first growth grows each
@@ -361,6 +392,21 @@ class _Grower:
         first = np.asarray(member_rows(0))
         if first.size == 0:
             raise EmptyDataset("cannot train on an empty row selection")
+        if max_depths is None:
+            max_depths = [self.cfg.max_depth] * len(seeds)
+        self.seeds = list(seeds)
+        self.limits = np.array([math.inf if d is None else d for d in max_depths])
+        self.shallowest = self.limits.min()
+        if own is not None:
+            columns = np.empty((self.n_raw + len(own), self.n_rows))
+            columns[:self.n_raw] = self.columns[:self.n_raw]
+            columns[self.n_raw:] = own
+            self.columns = columns
+        self.n_features = self.n_raw + (own is not None)
+        if self.cfg.feature_subsample == "sqrt":
+            self.n_examine = max(1, math.isqrt(self.n_features))
+        else:
+            self.n_examine = self.n_features
         block = first.size
         self.rows = np.empty(len(seeds) * block, dtype=self.index_dtype)
         for t in range(len(seeds)):
@@ -373,37 +419,39 @@ class _Grower:
             for s in start.tolist()
         ])
         if self.cfg.max_leaves is not None:
-            return [
-                self._grow_best_first(seeds[t:t + 1], start[t:t + 1], size[t:t + 1], counts[t:t + 1])
+            grown = [
+                self._grow_best_first(t, start[t:t + 1], size[t:t + 1], counts[t:t + 1])
                 for t in range(len(seeds))
             ]
-        return self._grow_levels(seeds, start, size, counts)
+        else:
+            grown = self._grow_levels(start, size, counts)
+        # keep the raw columns' ranks for the next batch
+        self.rows = None
+        self.ranks = {p: rank for p, rank in self.ranks.items() if p < self.n_raw}
+        return grown
 
-    def _grow_levels(self, seeds, start, size, counts) -> list:
+    def _grow_levels(self, start, size, counts) -> list:
         levels = []
-        tree = np.arange(len(seeds))
-        ids = [1] * len(seeds)
+        tree = np.arange(len(start))
+        ids = [1] * len(start)
         depth = 0
         while ids:
-            labels, split, _, feature, threshold = self._admit(
-                [seeds[t] for t in tree.tolist()], ids, start, size, counts, depth
-            )
+            labels, split, _, feature, threshold = self._admit(tree, ids, start, size, counts, depth)
             levels.append((labels, split, feature, threshold))
-            start, size = start[split], size[split]
-            left, right = self._partition(start, size, feature, threshold)
+            start, size, tree = start[split], size[split], tree[split]
+            left, right = self._partition(start, size, tree, feature, threshold)
             left_size = left.sum(axis=1)
             # children interleaved, left first, so segments stay in row order
             start = np.column_stack((start, start + left_size)).ravel()
             size = np.column_stack((left_size, size - left_size)).ravel()
             counts = np.stack((left, right), axis=1).reshape(-1, len(self.classes))
-            tree = tree[split].repeat(2)
+            tree = tree.repeat(2)
             ids = [child for j in split.tolist() for child in (2 * ids[j], 2 * ids[j] + 1)]
             depth += 1
-        self.rows, self.ranks = None, {}
         return _assemble_levels(levels)
 
-    def _grow_best_first(self, seeds, start, size, counts) -> Tree:
-        """One member, each admitted node's best split on a gain heap; the
+    def _grow_best_first(self, t, start, size, counts) -> Tree:
+        """Member t, each admitted node's best split on a gain heap; the
         highest gain splits next, ties to the earliest admitted."""
         majority: dict = {}
         splits: dict = {}
@@ -412,7 +460,7 @@ class _Grower:
         ids, depth = [1], 0
         while True:
             labels, split, gain, feature, threshold = self._admit(
-                seeds * len(ids), ids, start, size, counts, depth
+                np.full(len(ids), t), ids, start, size, counts, depth
             )
             majority.update(zip(ids, labels.tolist()))
             chosen = dict(zip(split.tolist(), zip(gain.tolist(), feature.tolist(), threshold.tolist())))
@@ -425,52 +473,52 @@ class _Grower:
                 return _assemble(majority, splits)
             node_id, depth, start, size, _, feature, threshold = heapq.heappop(frontier)[2]
             splits[node_id] = (feature, threshold, len(splits))
-            left, right = self._partition(start, size, np.array([feature]), np.array([threshold]))
+            left, right = self._partition(start, size, t, np.array([feature]), np.array([threshold]))
             left_size = left.sum(axis=1)
             start = np.concatenate((start, start + left_size))
             size = np.concatenate((left_size, size - left_size))
             counts = np.concatenate((left, right))
             ids, depth = [2 * node_id, 2 * node_id + 1], depth + 1
 
-    def _admit(self, seeds, ids, start, size, counts, depth):
+    def _admit(self, tree, ids, start, size, counts, depth):
         """(labels, split, gain, feature, threshold) of a frontier: each
         node's majority, the indices of the nodes that split, and their
-        splits. seeds[j] is node j's tree seed."""
+        splits. tree[j] is node j's member."""
         labels = self.classes[counts.argmax(axis=1)]  # first max = lowest class
-        cfg = self.cfg
         splittable = counts.max(axis=1) < size  # impure, so at least two rows
-        if cfg.max_depth is not None and depth >= cfg.max_depth:
-            splittable[:] = False
+        if depth >= self.shallowest:  # some member's depth limit is reached
+            splittable &= depth < self.limits[tree]
         candidates = splittable.nonzero()[0]
-        picked = candidates.tolist()
-        if len(picked) == len(ids):  # every node: no gathers
-            gain, feature, threshold = self._search(seeds, ids, start, size, counts)
+        if len(candidates) == len(ids):  # every node: no gathers
+            gain, feature, threshold = self._search(tree, ids, start, size, counts)
         else:
             gain, feature, threshold = self._search(
-                [seeds[j] for j in picked], [ids[j] for j in picked],
+                tree[candidates], [ids[j] for j in candidates.tolist()],
                 start[candidates], size[candidates], counts[candidates],
             )
         found = gain > -np.inf
         return labels, candidates[found], gain[found], feature[found], threshold[found]
 
-    def _search(self, seeds, ids, start, size, counts):
+    def _search(self, tree, ids, start, size, counts):
         """Best (gain, 1-based feature, threshold) of each node, gain -inf
         when none: highest gain, then lowest feature, then lowest threshold.
 
         Step s scores the s-th feature of every node's order, one scoring
-        pass per run of nodes that read the same feature. A node stops once
-        it has examined n_examine features and found a valid split.
+        pass per run of nodes that read the same column: a raw feature's
+        readers share one, and feature n + 1's readers split by member,
+        which the frontier keeps contiguous. A node stops once it has
+        examined n_examine features and found a valid split.
         """
         k, n = len(start), self.n_features
         parent_gini = 1.0 - ((counts / size[:, None]) ** 2).sum(axis=1)
         orders = None  # every node reads the features in index order
         if self.cfg.feature_subsample != "all":
-            orders = permutations(seeds, "node", ids, n)
+            orders = permutations([self.seeds[t] for t in tree.tolist()], "node", ids, n)
         gains = np.empty((n, k))  # by feature; -inf where not examined or constant
         gains[:] = -np.inf
         thresholds = np.zeros((n, k))
         active = np.arange(k)
-        everyone = _passes(size) if orders is None else None  # when all read one feature
+        everyone = _passes(size) if orders is None else None  # when all read one column
         for step in range(n):
             if orders is None:
                 readers_of = [(step, None)]
@@ -481,13 +529,20 @@ class _Grower:
                     for f in np.bincount(wanted, minlength=n).nonzero()[0].tolist()
                 ]
             for f, readers in readers_of:
-                for cut in everyone if readers is None else _passes(size[readers]):
-                    nodes = cut if readers is None else readers[cut]
-                    gains[f, nodes], thresholds[f, nodes] = _feature_best(
-                        self.X, self.y_codes, self.rows, start[nodes], size[nodes],
-                        counts[nodes], parent_gini[nodes], f,
-                        self._rank(f) if cut.stop - cut.start > 1 else None,
-                    )
+                runs = [(f, readers)]
+                if f >= self.n_raw:  # each member reads its own column
+                    readers = np.arange(k) if readers is None else readers
+                    members, heads = np.unique(tree[readers], return_index=True)
+                    runs = zip((self.n_raw + members).tolist(), np.split(readers, heads[1:]))
+                for p, readers in runs:
+                    column = self.columns[p]
+                    for cut in everyone if readers is None else _passes(size[readers]):
+                        nodes = cut if readers is None else readers[cut]
+                        gains[f, nodes], thresholds[f, nodes] = _feature_best(
+                            column, self.y_codes, self.rows, start[nodes], size[nodes],
+                            counts[nodes], parent_gini[nodes],
+                            self._rank(p) if cut.stop - cut.start > 1 else None,
+                        )
             # keep looking past the subsample size until a valid split shows up
             if self.n_examine <= step + 1 < n:
                 active = active[(gains[:, active] == -np.inf).all(axis=0)]
@@ -498,27 +553,31 @@ class _Grower:
         nodes = np.arange(k)
         return gains[feature, nodes], feature + 1, thresholds[feature, nodes]
 
-    def _partition(self, start, size, feature, threshold):
+    def _partition(self, start, size, tree, feature, threshold):
         """Stably partition each splitting node's segment in place, rows
-        going left first; the left and right children's class counts."""
+        going left first; the left and right children's class counts.
+        tree[j] (or a scalar tree) is node j's member."""
+        column = feature - 1
+        if self.n_features > self.n_raw:  # feature n + 1 is each member's own column
+            column = np.where(column < self.n_raw, column, self.n_raw + tree)
         n_classes = len(self.classes)
         left = np.empty((len(start), n_classes), dtype=np.int64)
         right = np.empty_like(left)
         for cut in _passes(size):
-            st, sz, f, t = start[cut], size[cut], feature[cut] - 1, threshold[cut]
+            st, sz, p, t = start[cut], size[cut], column[cut], threshold[cut]
             k = len(st)
             if k == 1:  # one node: a plain slice, without per-row node bookkeeping
                 where = slice(int(st[0]), int(st[0] + sz[0]))
                 r = self.rows[where]
                 node = 0
-                go_left = self.X[r, f[0]] <= t[0]
+                go_left = self.columns[p[0]][r] <= t[0]
             else:
                 offset = sz.cumsum() - sz
                 node = np.arange(k).repeat(sz)
                 here = np.arange(node.size)
                 where = (st - offset).repeat(sz) + here
                 r = self.rows[where]
-                go_left = self.X[r, f[node]] <= t[node]
+                go_left = self.columns[p[node], r] <= t[node]
             tally = np.bincount(
                 (2 * node + ~go_left) * n_classes + self.y_codes[r], minlength=2 * k * n_classes
             ).reshape(k, 2, n_classes)
@@ -548,7 +607,7 @@ def train_tree_grown(X, y, cfg: TrainConfig, rows=None, tree_seed: Optional[int]
     if tree_seed is None:
         tree_seed = _derived_seed(cfg.seed, "tree")
     grower = _Grower(X, y, cfg)
-    return grower.grow([tree_seed], lambda t: np.arange(len(grower.X)) if rows is None else rows)[0]
+    return grower.grow([tree_seed], lambda t: np.arange(len(X)) if rows is None else rows)[0]
 
 
 def train_tree(X, y, cfg: TrainConfig = TrainConfig()) -> Tree:
@@ -558,7 +617,7 @@ def train_tree(X, y, cfg: TrainConfig = TrainConfig()) -> Tree:
 def train_forest_grown(X, y, cfg: TrainConfig) -> list[Tree]:
     """Every member grown in one batch; member t depends only on (seed, t)."""
     grower = _Grower(X, y, cfg)
-    n = len(grower.X)
+    n = len(X)
 
     def member_rows(t):
         if cfg.bootstrap:
@@ -574,11 +633,81 @@ def train_forest(X, y, cfg: TrainConfig) -> Forest:
     return Forest(tuple(train_forest_grown(X, y, cfg)))
 
 
+def train_label_cascades(X, y, cfg: TrainConfig, budgets, first_layer: Optional[Tree] = None) -> list:
+    """Label cascades of cfg.cascade_depth layers, one per depth budget,
+    trained together: cascade i equals
+    train_cascade(X, y, replace(cfg, max_depth=budgets[i])), and a budget of
+    None sets no depth limit.
+
+    Layer by layer, budgets whose input is the same (the raw rows, plus
+    from layer 2 on the layer below's training predictions as feature
+    n + 1) form a group. Each group grows one member at its largest
+    budget, and its smaller budgets take truncate_depth of that member,
+    which equals retraining. A layer's members grow in one batch on the
+    shared raw columns, each with its own feature n + 1 and depth limit.
+    With a leaf budget truncation is not retraining, so every budget must
+    then be the same.
+
+    first_layer optionally injects layer 1 as grown at the largest budget:
+    that budget uses it as it is and smaller ones truncate it. Layer-1
+    training is seed-free, so any greedy tree grown on the same rows at
+    that budget is the one training would grow.
+    """
+    budgets = list(budgets)
+    if cfg.max_leaves is not None and len(set(budgets)) > 1:
+        raise ValueError("with a leaf budget every depth budget must be the same")
+    X = np.asarray(X, dtype=np.float64)
+    grower = _Grower(X, y, replace(cfg, n_trees=1, bootstrap=False, feature_subsample="all"))
+    every_row = np.arange(len(X))
+    reach = [math.inf if b is None else b for b in budgets]
+    layers: list = [[] for _ in budgets]
+    columns: list = [None]  # the layer's distinct feature n + 1 columns; none on layer 1
+    source = [0] * len(budgets)  # the column each budget's layer reads
+    for d in range(cfg.cascade_depth):
+        groups = [[i for i, j in enumerate(source) if j == g] for g in range(len(columns))]
+        tops = [max(group, key=reach.__getitem__) for group in groups]
+        if d == 0 and first_layer is not None:
+            grown = [first_layer]
+        else:
+            seed = _derived_seed(cfg.seed, "cascade-layer", d)
+            grown = grower.grow(
+                [seed] * len(groups), lambda t: every_row, [budgets[i] for i in tops],
+                None if d == 0 else columns,
+            )
+        following: list = []
+        for group, top, tree, column in zip(groups, tops, grown, columns):
+            height = max(depth for _, depth in walk(tree))
+            cut = {i: height if reach[i] == reach[top] else min(budgets[i], height) for i in group}
+            pruned = {
+                c: tree if c == height else truncate_depth(tree, c) for c in sorted(set(cut.values()))
+            }
+            for i in group:
+                layers[i].append(pruned[cut[i]])
+            if d + 1 == cfg.cascade_depth:
+                continue
+            seen = X if column is None else np.column_stack((X, column))
+            for c, layer in pruned.items():
+                labels = evaluate_batch(layer, seen)
+                # a few classes: keep them in the narrowest integer type
+                labels = labels.astype(
+                    np.result_type(np.min_scalar_type(labels.min()), np.min_scalar_type(labels.max()))
+                )
+                same = [j for j, known in enumerate(following) if np.array_equal(known, labels)]
+                if not same:
+                    following.append(labels)
+                for i in group:
+                    if cut[i] == c:
+                        source[i] = same[0] if same else len(following) - 1
+        columns = following
+    return [DeepTree(tuple(cascade)) for cascade in layers]
+
+
 def train_cascade(X, y, cfg: TrainConfig, first_layer: Optional[Tree] = None):
     """Layer-wise cascade training.
 
     In label mode each layer is a single tree and later layers see the
-    previous layer's hard label as feature n+1; the result is a DeepTree.
+    previous layer's hard label as feature n+1; the result is a DeepTree,
+    the one-budget case of train_label_cascades.
     In classvector mode each layer is a forest and later layers see the
     layer's per-class vote fractions; the result is a CascadeForest.
 
@@ -591,20 +720,7 @@ def train_cascade(X, y, cfg: TrainConfig, first_layer: Optional[Tree] = None):
     if len(X) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     if cfg.augment_mode == "label":
-        layer_cfg = replace(cfg, n_trees=1, bootstrap=False, feature_subsample="all")
-        layers = []
-        current = X
-        for d in range(cfg.cascade_depth):
-            if d == 0 and first_layer is not None:
-                tree = first_layer
-            else:
-                tree_seed = _derived_seed(cfg.seed, "cascade-layer", d)
-                tree = _Grower(current, y, layer_cfg).grow([tree_seed], lambda t: np.arange(len(X)))[0]
-            layers.append(tree)
-            if d + 1 < cfg.cascade_depth:
-                predictions = evaluate_batch(tree, current)
-                current = np.column_stack([X, predictions.astype(np.float64)])
-        return DeepTree(tuple(layers))
+        return train_label_cascades(X, y, cfg, [cfg.max_depth], first_layer)[0]
     if first_layer is not None:
         raise ValueError("first_layer injection only applies to label mode")
     classes = tuple(int(c) for c in np.unique(y))

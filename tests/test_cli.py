@@ -252,3 +252,40 @@ def test_non_utf8_config_exits_with_error_line(tmp_path, capsys):
     )
     assert (code, out) == (1, "")
     assert err == f"error: cannot read {cfg}: not UTF-8 text\n"
+
+
+def _unwritable_output_commands(tmp_path):
+    """argv of each command that writes a model to --out, aimed at a file
+    in a missing directory."""
+    data = tmp_path / "x.csv"
+    write_csv(np.array([[1.0], [2.0]]), np.array([1, -1]), data)
+    source = tmp_path / "tree.sexp"
+    source.write_text("(node 1 1 (leaf +1) (leaf -1))\n", encoding="utf-8")
+    out = ("--out", str(tmp_path / "no" / "m.sexp"))
+    return {
+        "build-parity": ("build-parity", "--p", "2", "--n", "2", *out),
+        "train": ("train", "--model", "tree", "--data", str(data), *out),
+        "compile-tree": ("compile-tree", "--in", str(source), "--p", "2", "--n", "2", *out),
+    }
+
+
+@pytest.mark.parametrize("case", ["build-parity", "train", "compile-tree"])
+def test_unwritable_output_file_exits_with_error_line(tmp_path, capsys, case):
+    code, out, err = run_cli(capsys, *_unwritable_output_commands(tmp_path)[case])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {tmp_path / 'no' / 'm.sexp'}:")
+    assert "Traceback" not in err
+
+
+def test_train_separates_adjacent_doubles(tmp_path, capsys):
+    # the midpoint of these two doubles rounds up to the larger one, so a
+    # midpoint threshold would send both rows left, forever
+    data = tmp_path / "adj.csv"
+    data.write_text("f1,label\n1.0000000000000002,0\n1.0000000000000004,1\n", encoding="utf-8")
+    model_path = tmp_path / "m.sexp"
+    code, out, _ = run_cli(
+        capsys, "train", "--model", "tree", "--data", str(data), "--out", str(model_path)
+    )
+    assert code == 0
+    assert "train_accuracy,1.0" in out.splitlines()
+    assert "total_leaves,2" in out.splitlines()

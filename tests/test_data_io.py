@@ -19,6 +19,7 @@ from deeptrees.errors import (
     EmptyDataset,
     MalformedRow,
     UnreachableSource,
+    UnwritableFile,
 )
 from deeptrees.rng import generator
 
@@ -272,3 +273,11 @@ def test_fetch_rejects_non_finite_features(tmp_path):
         fetch_dataset(manifest, cache_dir=tmp_path / "cache")
     assert err.value.line == 3
     assert "toy.train" in str(err.value) and "feature 1" in str(err.value)
+
+
+def test_write_csv_to_unwritable_path_raises_unwritable_file(tmp_path):
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        with pytest.raises(UnwritableFile) as caught:
+            write_csv(np.array([[1.0]]), np.array([1]), path)
+        assert caught.value.path == path
+        assert str(caught.value).startswith(f"cannot write {path}: ")

@@ -105,10 +105,9 @@ def test_run_simulation_rows_and_determinism(tmp_path):
     assert len(rows) == 3 * 4
     assert {r["model"] for r in rows} == {"T", "DT-2", "RF-3"}
     for row in rows:
-        if row["model"] == "DT-2":  # the only, so deepest, cascade carries its training
-            assert row["wall_time"] > 0.0
-        else:  # the deepest cell carries growth and all scoring
-            assert (row["wall_time"] > 0.0) == (row["setting"] == "depth=4")
+        # T's and RF's deepest cells carry growth and all scoring, and the
+        # deepest DT's deepest cell the training of every depth's cascade
+        assert (row["wall_time"] > 0.0) == (row["setting"] == "depth=4")
     table_a = write_table(rows, SIM_COLUMNS, tmp_path / "a" / "sim.csv")
     rows_b = run_simulation(ExperimentConfig(**TINY_SIM, out_dir=tmp_path / "b"))
     table_b = write_table(rows_b, SIM_COLUMNS, tmp_path / "b" / "sim.csv")
@@ -162,10 +161,10 @@ def test_run_simulation_prefix_digests_and_wall_time(tmp_path):
     cells = [dict(zip(header, line.split(","))) for line in table.splitlines()[1:]]
     for cell in cells:
         carries = float(cell["wall_time"]) > 0.0
-        if cell["model"] in ("T", "RF-5"):  # the widest RF's deepest cell carries all RF work
+        # the widest RF's deepest cell carries all RF work, and the deepest
+        # DT's deepest cell the training of every depth's cascade
+        if cell["model"] in ("T", "RF-5", "DT-3"):
             assert carries == (cell["setting"] == "depth=3")
-        elif cell["model"] == "DT-3":  # the deepest DT carries each depth's shared cascade
-            assert carries
         else:
             assert not carries
 

@@ -1,5 +1,6 @@
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from deeptrees.learn import (
     train_cascade,
     train_forest,
     train_forest_grown,
+    train_label_cascades,
     train_tree,
     train_tree_grown,
     truncate_depth,
@@ -249,6 +251,11 @@ def test_cascade_first_layer_injection():
     tree = train_tree(X, y, TrainConfig(max_depth=3, bootstrap=False, feature_subsample="all"))
     injected = train_cascade(X, y, cfg, first_layer=tree)
     assert plain == injected
+    # a first layer whose labels are no training labels reaches layer 2 as is
+    foreign = Node(1, 0.5, Leaf(300), Leaf(-7))
+    column = evaluate_batch(foreign, X).astype(np.float64)
+    second = train_tree(np.column_stack((X, column)), y, TrainConfig(max_depth=3, bootstrap=False))
+    assert train_cascade(X, y, cfg, first_layer=foreign).layers == (foreign, second)
 
 
 def test_classvector_cascade_multiclass():
@@ -374,6 +381,71 @@ def test_alternating_labels_grow_a_chain_of_any_depth():
     assert depth_leaf_counts(tree, rows - 1)[[0, 10, rows - 1]].tolist() == [1, 11, rows]
 
 
+ADJACENT = 1.0 + 2.0**-52
+
+
+@pytest.mark.parametrize(
+    "lower, upper", [(ADJACENT, np.nextafter(ADJACENT, 2.0)), (1e308, 1.7e308)],
+    ids=["adjacent", "overflow"],
+)
+def test_threshold_separates_rows_whose_midpoint_fails(lower, upper):
+    """The midpoint of adjacent doubles rounds up to the upper one, and that
+    of huge ones overflows; either way the threshold is the lower value, so
+    the split separates the rows it was scored on."""
+    X, y = np.array([[lower], [upper]]), np.array([0, 1])
+    separated = Node(1, lower, Leaf(0), Leaf(1))
+    assert train_tree(X, y, TrainConfig(max_depth=4, bootstrap=False)) == separated
+    assert train_tree(X, y, PLAIN) == separated
+    assert train_tree(X, y, TrainConfig(max_leaves=4, bootstrap=False)) == separated
+    forest = train_forest(X, y, TrainConfig(n_trees=2, bootstrap=False, feature_subsample="sqrt"))
+    assert forest.trees == (separated, separated)
+
+
+def reference_label_cascade(X, y, budget, depth):
+    """A label cascade trained one budget at a time: each layer a plain tree
+    on the raw rows plus the layer below's training predictions."""
+    layers, current = [], X
+    for _ in range(depth):
+        tree = train_tree(current, y, TrainConfig(max_depth=budget, bootstrap=False))
+        layers.append(tree)
+        current = np.column_stack((X, evaluate_batch(tree, current).astype(np.float64)))
+    return DeepTree(tuple(layers))
+
+
+def test_label_cascades_of_every_budget_equal_one_at_a_time(monkeypatch):
+    data = generate_simulation(SimulationSpec(n=2, sample_count=600, seed=5))
+    X, y = data.train_X, data.train_y
+    budgets = [3, 1, 2, 4, 6, 8, 12, None, 6]
+    members = []
+    grow = learn._Grower.grow
+
+    def counting(self, seeds, *args):
+        members.append(len(seeds))
+        return grow(self, seeds, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(learn._Grower, "grow", counting)
+        cascades = train_label_cascades(X, y, TrainConfig(cascade_depth=4, seed=3), budgets)
+    assert cascades == [reference_label_cascade(X, y, b, 4) for b in budgets]
+    # one member on layer 1, and budgets whose inputs coincide share one
+    assert members[0] == 1 and len(members) == 4
+    assert sum(members[1:]) < 3 * len(set(budgets))
+    # an injected first layer grown at the largest budget changes nothing
+    grown = train_tree_grown(X, y, PLAIN)
+    cfg = TrainConfig(cascade_depth=4, seed=3)
+    assert train_label_cascades(X, y, cfg, budgets, first_layer=grown) == cascades
+
+
+def test_label_cascades_with_a_leaf_budget():
+    X, y = random_data(34, rows=200)
+    cfg = TrainConfig(max_leaves=5, cascade_depth=3)
+    one = train_cascade(X, y, replace(cfg, max_depth=3))
+    assert train_label_cascades(X, y, cfg, [3, 3]) == [one, one]
+    assert one.layers[0] == train_tree(X, y, TrainConfig(max_depth=3, max_leaves=5, bootstrap=False))
+    with pytest.raises(ValueError):
+        train_label_cascades(X, y, cfg, [2, 3])
+
+
 def _trees(model):
     if isinstance(model, (Leaf, Node)):
         return [model]
@@ -484,7 +556,9 @@ def _reference_feature_best(X, y_codes, idx, counts, parent_gini, f):
     gains = parent_gini - (left_sizes * gini_left + right_sizes * gini_right) / m
     pos = int(np.argmax(gains))  # first maximum -> lowest threshold
     b = int(boundaries[pos])
-    return float(gains[pos]), f + 1, float((sv[b] + sv[b + 1]) / 2.0)
+    lower, upper = float(sv[b]), float(sv[b + 1])
+    middle = (lower + upper) / 2.0  # the lower value when this overflows or rounds up
+    return float(gains[pos]), f + 1, middle if math.isfinite(middle) and middle < upper else lower
 
 
 def _reference_better(cand, best):
@@ -547,18 +621,21 @@ def reference_grow(X, y, cfg, rows, tree_seed):
 
 
 class ReferenceGrower:
-    """Stands in for learn._Grower: each member grown alone by reference_grow."""
+    """Stands in for learn._Grower: each member grown alone by reference_grow,
+    on the raw matrix plus its own column as the last feature, if it has one."""
 
     def __init__(self, X, y, cfg):
         self.X = np.asarray(X, dtype=np.float64)
         self.y = y
         self.cfg = cfg
 
-    def grow(self, seeds, member_rows):
-        return [
-            reference_grow(self.X, self.y, self.cfg, member_rows(t), seed)
-            for t, seed in enumerate(seeds)
-        ]
+    def grow(self, seeds, member_rows, max_depths=None, own=None):
+        trees = []
+        for t, seed in enumerate(seeds):
+            X = self.X if own is None else np.column_stack((self.X, own[t]))
+            cfg = self.cfg if max_depths is None else replace(self.cfg, max_depth=max_depths[t])
+            trees.append(reference_grow(X, self.y, cfg, member_rows(t), seed))
+        return trees
 
 
 def growth_corpus(seed, rows, cols, n_classes, levels):

@@ -9,6 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from deeptrees import learn  # noqa: E402
+from deeptrees.learn import TrainConfig, train_cascade, train_label_cascades, train_tree  # noqa: E402
+from deeptrees.tree import Node  # noqa: E402
 from deeptrees.construct import build_parity_deeptree, compile_to_deeptree  # noqa: E402
 from deeptrees.lattice import LatticeSpace  # noqa: E402
 from deeptrees.rng import generator, permutations  # noqa: E402
@@ -19,7 +21,11 @@ from test_ensemble import (  # noqa: E402
     random_model,
     random_rows,
 )
-from test_learn import assert_grows_like_reference, growth_corpus  # noqa: E402
+from test_learn import (  # noqa: E402
+    assert_grows_like_reference,
+    growth_corpus,
+    reference_label_cascade,
+)
 from test_rng import per_node_permutations  # noqa: E402
 from test_sexpr import assert_round_trip  # noqa: E402
 from test_tree import random_tree  # noqa: E402
@@ -82,3 +88,79 @@ def test_batched_permutations_equal_per_node_streams(pairs, n):
     assert np.array_equal(
         permutations(seeds, "node", ids, n), per_node_permutations(seeds, "node", ids, n)
     )
+
+
+# values whose neighbours' midpoints round up to the upper value (adjacent
+# doubles) or overflow (huge magnitudes)
+BASES = (0.0, 1.0, -3.5, 1.0 + 2.0**-52, 1e308, -1e308, 1.7e308, 5e-324)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(2, 60),
+    cols=st.integers(1, 3),
+    classes=st.sampled_from(((-1, 1), (0, 1, 2))),
+    max_depth=st.sampled_from((1, 3, 8)),
+    pass_rows=st.sampled_from((None, 1)),
+)
+def test_every_split_separates_its_training_rows(seed, rows, cols, classes, max_depth, pass_rows):
+    rng = generator(seed, "separation-property")
+    X = np.array(BASES)[rng.integers(0, len(BASES), (rows, cols))]
+    for _ in range(int(rng.integers(0, 3))):  # step some values up by one ulp
+        X = np.where(rng.random(X.shape) < 0.5, np.nextafter(X, np.inf), X)
+    X = np.where(np.isfinite(X), X, 1.7e308)
+    y = np.array(classes)[rng.integers(0, len(classes), rows)]
+    with pytest.MonkeyPatch.context() as patch:
+        if pass_rows is not None:
+            patch.setattr(learn, "PASS_ROWS", pass_rows)
+        tree = train_tree(X, y, TrainConfig(max_depth=max_depth, bootstrap=False))
+    stack = [(tree, np.arange(rows))]
+    while stack:
+        node, idx = stack.pop()
+        if isinstance(node, Node):
+            go_left = X[idx, node.feature - 1] <= node.threshold
+            assert go_left.any() and not go_left.all()
+            stack += ((node.left, idx[go_left]), (node.right, idx[~go_left]))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(2, 120),
+    cols=st.integers(1, 3),
+    levels=st.sampled_from((2, 3, 8)),
+    classes=st.sampled_from(((-1, 1), (-1, 0, 2))),
+    budgets=st.lists(st.one_of(st.none(), st.integers(0, 6)), min_size=1, max_size=6),
+    depth=st.integers(1, 4),
+)
+def test_label_cascades_equal_one_budget_at_a_time(seed, rows, cols, levels, classes, budgets, depth):
+    """Small tie-heavy sets: deep budgets fit them early, so their inputs
+    coincide and their layers come from one truncated member."""
+    rng = generator(seed, "cascade-budget-property")
+    X = np.floor(rng.random((rows, cols)) * levels)
+    y = np.array(classes)[rng.integers(0, len(classes), rows)]
+    cascades = train_label_cascades(X, y, TrainConfig(cascade_depth=depth, seed=seed % 7), budgets)
+    assert cascades == [reference_label_cascade(X, y, b, depth) for b in budgets]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(2, 120),
+    classes=st.sampled_from(((-1, 1), (-1, 0, 2))),
+    max_depth=st.sampled_from((None, 1, 2, 4)),
+    depth=st.integers(1, 4),
+)
+def test_layer_prediction_prefixes_equal_retrained_cascades(seed, rows, classes, max_depth, depth):
+    rng = generator(seed, "cascade-prefix-property")
+    X = np.floor(rng.random((rows, 2)) * 4)
+    y = np.array(classes)[rng.integers(0, len(classes), rows)]
+    unseen = np.floor(rng.random((30, 2)) * 5) - 0.5
+    cfg = TrainConfig(max_depth=max_depth, cascade_depth=depth)
+    cascade = train_cascade(X, y, cfg)
+    for rows_in in (X, unseen):
+        for k, labels in enumerate(cascade.layer_predictions(rows_in), start=1):
+            retrained = train_cascade(X, y, TrainConfig(max_depth=max_depth, cascade_depth=k))
+            assert retrained.layers == cascade.layers[:k]
+            assert np.array_equal(labels, retrained.predict_batch(rows_in))
