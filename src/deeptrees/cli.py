@@ -28,6 +28,7 @@ from .data_io import (
     default_cache_dir,
     fetch_dataset,
     generate_simulation,
+    make_dir,
     read_csv,
     read_text,
     write_csv,
@@ -43,7 +44,7 @@ from .lattice import (
     UniformDistribution,
 )
 from .learn import TrainConfig, accuracy, train_cascade, train_forest, train_tree
-from .plotting import render_plots
+from .plotting import render_plots, table_rows
 from .sexpr import parse_model, print_model
 
 
@@ -88,7 +89,7 @@ def cmd_gen_data(args):
     )
     data = generate_simulation(spec)
     prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(prefix.parent)
     train_path = prefix.with_name(prefix.name + "-train.csv")
     test_path = prefix.with_name(prefix.name + "-test.csv")
     write_csv(data.train_X, data.train_y, train_path)
@@ -140,7 +141,6 @@ def cmd_train(args):
         bootstrap=not args.no_bootstrap,
         feature_subsample=args.feature_subsample,
         cascade_depth=args.cascade_depth,
-        augment_mode=args.augment_mode,
     )
     if args.model == "tree":
         model = train_tree(X, y, cfg)
@@ -280,19 +280,7 @@ def cmd_experiment(args):
 
 
 def cmd_plot(args):
-    text = read_text(args.table).splitlines()
-    header = text[0].split(",")
-    rows = []
-    for line in text[1:]:
-        values = line.split(",")
-        row = dict(zip(header, values))
-        for key in ("total_leaves", "total_trees", "layer", "feature", "cut", "tree_size", "width"):
-            if key in row and row[key]:
-                row[key] = int(row[key])
-        for key in ("train_accuracy", "test_accuracy", "gain"):
-            if key in row and row[key]:
-                row[key] = float(row[key])
-        rows.append(row)
+    rows = table_rows(read_text(args.table), args.kind)
     written = render_plots(rows, args.kind, args.out)
     _emit([f"wrote {p}" for p in written])
 
@@ -339,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-bootstrap", action="store_true")
     p.add_argument("--feature-subsample", choices=("all", "sqrt"), default="sqrt")
     p.add_argument("--cascade-depth", type=int, default=2)
-    p.add_argument("--augment-mode", choices=("label", "classvector"), default="label")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model file on CSV data")

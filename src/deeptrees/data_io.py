@@ -147,6 +147,16 @@ def write_text(path, text: str):
         raise UnwritableFile(f"cannot write {path}: {exc.strerror or exc}", path) from None
 
 
+def make_dir(path) -> Path:
+    """Create a directory and its missing parents; UnwritableFile names the
+    path when it cannot be made (a file in its place or on its way)."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UnwritableFile(f"cannot make directory {path}: {exc.strerror or exc}", path) from None
+    return Path(path)
+
+
 def write_csv(X, y, path, feature_names=None):
     """Header row of feature names plus "label"; floats at 17 significant digits."""
     X = np.asarray(X, dtype=np.float64)
@@ -274,7 +284,7 @@ def _sha256_file(path: Path) -> str:
 
 
 def _ensure_file(source: SourceFile, dataset_dir: Path, offline: bool) -> Path:
-    dataset_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(dataset_dir)
     path = dataset_dir / source.filename
     if not path.exists():
         if offline:

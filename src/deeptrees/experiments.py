@@ -27,6 +27,7 @@ from .data_io import (
     SimulationSpec,
     fetch_dataset,
     generate_simulation,
+    make_dir,
     read_text,
     split_sizes,
     write_text,
@@ -42,7 +43,6 @@ from .errors import ConfigError
 from .lattice import LatticeSpace, ParityConcept, ProductDistribution, UniformDistribution
 from .learn import (
     TrainConfig,
-    depth_labels,
     depth_leaf_counts,
     train_cascade,
     train_forest,
@@ -52,7 +52,7 @@ from .learn import (
     train_tree_grown,
 )
 from .rng import generator
-from .tree import Leaf, Node, Region, dim_from_leaves, evaluate_batch, leaf_count, tree_labels
+from .tree import Leaf, Node, Region, depth_labels, dim_from_leaves, evaluate_batch, leaf_count, tree_labels
 
 SIM_MODELS_DEFAULT = ("T", "DT-2", "DT-3", "DT-4", "RF-9", "RF-19", "RF-29")
 
@@ -253,7 +253,7 @@ def write_table(rows, columns, path):
     for row in rows:
         lines.append(",".join(_format_cell(row.get(c)) for c in columns))
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(path.parent)
     write_text(path, "\n".join(lines) + "\n")
     return path
 
@@ -920,8 +920,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment id; write CSV tables first, then derived plots."""
     from .plotting import render_plots
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(cfg.out_dir)
     written: dict = {}
     if cfg.experiment == "sim":
         rows = run_simulation(cfg)

@@ -25,21 +25,22 @@ larger node is scored alone. So a level of many small nodes costs a few
 numpy calls per feature, not per node. A node's gains read only its own
 rows' class counts at boundaries between distinct values, with the same
 elementwise float operations in a pass of any length, so batching, pass
-budget and the order of equal values change no tree. Splits are
-numbered in pre-order afterwards, the order in which depth-first growth
-realizes them. Best-first growth (a leaf budget) grows each member
-alone, highest gain first, on a gain heap.
+budget and the order of equal values change no tree. Best-first growth
+(a leaf budget) grows each member alone, highest gain first, on a gain
+heap.
 
 Training returns plain Leaf/Node trees whose nodes also record their
-majority label and realization order, so a single deep run can be
-truncated to any smaller depth or leaf budget; the truncation equals
-retraining with the smaller budget because split decisions depend only
-on the node's own rows. Label cascades use this across depth budgets:
-at each layer, budgets whose input (the raw rows plus the layer below's
-training predictions) is the same form a group, the group grows one
-member at its largest budget, and its smaller budgets take truncations
-of it. Growth, assembly and truncation use explicit stacks or loops, so
-no depth is too deep to train.
+majority label, and best-first splits the order in which they were
+realized, so a single deep run can be truncated to any smaller depth or
+leaf budget; the truncation equals retraining with the smaller budget
+because split decisions depend only on the node's own rows, and
+tree.depth_labels scores every depth budget of a grown tree in one walk.
+Label cascades use truncation across depth budgets: at each layer,
+budgets whose input (the raw rows plus the layer below's training
+predictions) is the same form a group, the group grows one member at its
+largest budget, and its smaller budgets take truncations of it. Growth,
+assembly and truncation use explicit stacks or loops, so no depth is too
+deep to train.
 """
 
 import heapq
@@ -51,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import CascadeForest, DeepTree, Forest, predict_batch
-from .errors import EmptyDataset, FeatureOutOfRange, NonFiniteFeature, NonIntegralLabel
+from .errors import EmptyDataset, NonFiniteFeature, NonIntegralLabel
 from .rng import generator, permutations, seed_sequence
 from .tree import Leaf, Node, Tree, evaluate_batch, walk
 
@@ -119,41 +120,6 @@ def truncate_depth(grown: Tree, max_depth: int) -> Tree:
     return _prune(grown, lambda node, depth: depth < max_depth)
 
 
-def depth_labels(grown: Tree, X, max_depth: int) -> np.ndarray:
-    """Labels of every depth budget from one walk of a grown tree.
-
-    Row b of the (max_depth + 1, m) result equals
-    evaluate_batch(truncate_depth(grown, b), X): a split at depth d writes
-    its majority into row d, the leaf it collapses to under budget d, and a
-    leaf at depth d writes its label into rows d..max_depth. Raises
-    FeatureOutOfRange where evaluating the max_depth truncation would.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("expected a 2-d row matrix")
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
-    width = X.shape[1]
-    out = np.empty((max_depth + 1, X.shape[0]), dtype=np.int64)
-    stack = [(grown, 0, np.arange(X.shape[0]))]
-    while stack:
-        node, depth, idx = stack.pop()
-        if isinstance(node, Leaf):
-            out[depth:, idx] = node.label
-            continue
-        out[depth, idx] = node.majority
-        if depth == max_depth:
-            continue
-        if node.feature > width:
-            raise FeatureOutOfRange(
-                f"tree reads feature {node.feature} but input has width {width}"
-            )
-        go_left = X[idx, node.feature - 1] <= node.threshold
-        stack.append((node.left, depth + 1, idx[go_left]))
-        stack.append((node.right, depth + 1, idx[~go_left]))
-    return out
-
-
 def depth_leaf_counts(grown: Tree, max_depth: int) -> np.ndarray:
     """Leaf count of truncate_depth(grown, b) for every budget b in 0..max_depth.
 
@@ -171,7 +137,8 @@ def depth_leaf_counts(grown: Tree, max_depth: int) -> np.ndarray:
 
 
 def truncate_leaves(grown: Tree, max_leaves: int) -> Tree:
-    """Prefix of a best-first grown tree with at most max_leaves leaves."""
+    """Prefix of a best-first grown tree with at most max_leaves leaves: the
+    first max_leaves - 1 splits its growth realized, by Node.order."""
     return _prune(grown, lambda node, depth: node.order < max_leaves - 1)
 
 
@@ -309,31 +276,15 @@ def _assemble_levels(levels) -> list:
     levels[d] = (labels, split, feature, threshold) over level d's
     frontier: each node's majority, the indices of the nodes that split,
     and their splits. Level d's s-th split has level d + 1's nodes 2s and
-    2s + 1 as children. Splits are numbered in pre-order within each tree,
-    the order depth-first growth realizes them: a left child's number is
-    its parent's plus one, and a right child's also skips the splits of
-    its left sibling's subtree.
+    2s + 1 as children. Splits carry no order, which only best-first
+    growth records.
     """
-    within = [np.zeros(0, dtype=np.int64)]  # splits in each node's subtree, deepest level first
-    for labels, split, _, _ in reversed(levels):
-        below = within[-1]
-        within.append(np.zeros(len(labels), dtype=np.int64))
-        within[-1][split] = 1 + below[0::2] + below[1::2]
-    within = within[:0:-1]  # level order
-    order = np.zeros(len(levels[0][0]), dtype=np.int64)
-    orders = [order]
-    for (_, split, _, _), below in zip(levels, within[1:]):
-        left = order[split] + 1
-        order = np.column_stack((left, left + below[0::2])).ravel()
-        orders.append(order)
     built: list = []
-    for (labels, split, feature, threshold), order in zip(reversed(levels), reversed(orders)):
+    for labels, split, feature, threshold in reversed(levels):
         labels = labels.tolist()
         nodes = [Leaf(label) for label in labels]
-        for s, (j, f, t, k) in enumerate(
-            zip(split.tolist(), feature.tolist(), threshold.tolist(), order[split].tolist())
-        ):
-            nodes[j] = Node(f, t, built[2 * s], built[2 * s + 1], labels[j], k)
+        for s, (j, f, t) in enumerate(zip(split.tolist(), feature.tolist(), threshold.tolist())):
+            nodes[j] = Node(f, t, built[2 * s], built[2 * s + 1], labels[j])
         built = nodes
     return built
 
@@ -602,12 +553,10 @@ def _derived_seed(master_seed: int, *tags) -> int:
     return int(words[0]) | (int(words[1]) << 32)
 
 
-def train_tree_grown(X, y, cfg: TrainConfig, rows=None, tree_seed: Optional[int] = None) -> Tree:
+def train_tree_grown(X, y, cfg: TrainConfig) -> Tree:
     """Greedy tree; truncate_depth / truncate_leaves give sub-budget trees."""
-    if tree_seed is None:
-        tree_seed = _derived_seed(cfg.seed, "tree")
     grower = _Grower(X, y, cfg)
-    return grower.grow([tree_seed], lambda t: np.arange(len(X)) if rows is None else rows)[0]
+    return grower.grow([_derived_seed(cfg.seed, "tree")], lambda t: np.arange(len(X)))[0]
 
 
 def train_tree(X, y, cfg: TrainConfig = TrainConfig()) -> Tree:

@@ -7,9 +7,9 @@ figures.
 """
 
 import math
-from pathlib import Path
 
-from .errors import EmptyTable
+from .data_io import make_dir, write_text
+from .errors import EmptyTable, MalformedRow
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 46
@@ -179,20 +179,51 @@ def _slug(text) -> str:
     return "".join(out).strip("-")
 
 
+# The columns each kind of chart reads, and how a table's cell converts.
+CHART_COLUMNS = {
+    "sim": {"subject": str, "model": str, "total_leaves": int, "test_accuracy": float},
+    "gini": {"subject": str, "layer": int, "feature": int, "cut": int, "gain": float},
+    "uci": {"subject": str, "model": str, "tree_size": int, "total_trees": int, "test_accuracy": float},
+}
+
+
+def table_rows(text: str, kind) -> list:
+    """Rows of a result table's CSV text, with the columns a chart of this
+    kind reads converted. EmptyTable for no header; MalformedRow names the
+    line of a missing column, a row of the wrong width or a bad cell."""
+    lines = text.splitlines()
+    if not lines:
+        raise EmptyTable("empty result table")
+    header = lines[0].split(",")
+    columns = CHART_COLUMNS[kind]
+    for key in columns:
+        if key not in header:
+            raise MalformedRow(f"a {kind} table needs a {key!r} column", 1)
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        values = line.split(",")
+        if len(values) != len(header):
+            raise MalformedRow(f"expected {len(header)} fields, got {len(values)}", line_no)
+        row = dict(zip(header, values))
+        for key, convert in columns.items():
+            try:
+                row[key] = convert(row[key])
+            except ValueError:
+                raise MalformedRow(f"{key} {row[key]!r} is not a number", line_no) from None
+        rows.append(row)
+    return rows
+
+
 def render_plots(rows, kind, out_dir) -> list:
     """Chart files for a result table; returns the written paths."""
     if not rows:
         raise EmptyTable("empty result table")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    charts = []  # (file name, svg)
     if kind == "sim":
-        subjects = sorted({row["subject"] for row in rows})
-        for subject in subjects:
+        for subject in sorted({row["subject"] for row in rows}):
             sub = [r for r in rows if r["subject"] == subject]
-            models = sorted({r["model"] for r in sub})
             series = []
-            for model in models:
+            for model in sorted({r["model"] for r in sub}):
                 cells = [r for r in sub if r["model"] == model]
                 series.append(
                     (model, [r["total_leaves"] for r in cells], [r["test_accuracy"] for r in cells])
@@ -204,12 +235,9 @@ def render_plots(rows, kind, out_dir) -> list:
                 "test accuracy",
                 log_x=True,
             )
-            path = out_dir / f"sim_{_slug(subject)}.svg"
-            path.write_text(svg, encoding="utf-8")
-            written.append(path)
+            charts.append((f"sim_{_slug(subject)}.svg", svg))
     elif kind == "gini":
-        keys = sorted({(r["subject"], r["layer"]) for r in rows})
-        for subject, layer in keys:
+        for subject, layer in sorted({(r["subject"], r["layer"]) for r in rows}):
             sub = [r for r in rows if r["subject"] == subject and r["layer"] == layer]
             sub.sort(key=lambda r: (r["feature"], r["cut"]))
             labels = [f"x{r['feature']}<={r['cut']}" for r in sub]
@@ -217,16 +245,12 @@ def render_plots(rows, kind, out_dir) -> list:
             svg = bar_chart(
                 labels, values, f"impurity gain ({subject}, layer {layer})", "split", "gain"
             )
-            path = out_dir / f"gini_{_slug(subject)}_layer{layer}.svg"
-            path.write_text(svg, encoding="utf-8")
-            written.append(path)
+            charts.append((f"gini_{_slug(subject)}_layer{layer}.svg", svg))
     elif kind == "uci":
-        subjects = sorted({row["subject"] for row in rows})
-        for subject in subjects:
+        for subject in sorted({row["subject"] for row in rows}):
             sub = [r for r in rows if r["subject"] == subject]
-            keys = sorted({(r["model"], r["tree_size"]) for r in sub})
             series = []
-            for model, size in keys:
+            for model, size in sorted({(r["model"], r["tree_size"]) for r in sub}):
                 cells = [r for r in sub if r["model"] == model and r["tree_size"] == size]
                 series.append(
                     (
@@ -242,9 +266,10 @@ def render_plots(rows, kind, out_dir) -> list:
                 "test accuracy",
                 log_x=True,
             )
-            path = out_dir / f"uci_{_slug(subject)}.svg"
-            path.write_text(svg, encoding="utf-8")
-            written.append(path)
+            charts.append((f"uci_{_slug(subject)}.svg", svg))
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
-    return written
+    out_dir = make_dir(out_dir)
+    for name, svg in charts:
+        write_text(out_dir / name, svg)
+    return [out_dir / name for name, _ in charts]

@@ -3,16 +3,18 @@
 A tree is either a Leaf carrying an integer class label or a Node with a
 1-based feature index, a real threshold (route left when x[feature] <=
 threshold), and two subtrees. Trained nodes also carry their rows'
-majority label and their split order, which are not part of a model's
-identity. The size of a tree counts the scalars of its flattened
-parameter tuple: one per leaf plus two per parent node, which is 3m + 1
-for m parent nodes, or equivalently 3*(leaves - 1) + 1. Every walk uses
-an explicit stack, so no depth hits the interpreter's recursion limit.
+majority label, and best-first trained nodes their split order; neither
+is part of a model's identity. The size of a tree counts the scalars of
+its flattened parameter tuple: one per leaf plus two per parent node,
+which is 3m + 1 for m parent nodes, or equivalently 3*(leaves - 1) + 1.
+Every walk uses an explicit stack, so no depth hits the interpreter's
+recursion limit.
 
 Single-row queries on ensembles do not chase Node objects: split_table
 compiles a sequence of trees into parallel flat lists (feature,
 threshold, left child, right child per split, one root per tree), and a
-row is routed by a tight loop over those lists.
+row is routed by a tight loop over those lists. Batches of rows take one
+walk, _route, which evaluate_batch and depth_labels both read.
 """
 
 import math
@@ -187,26 +189,60 @@ def split_table(trees) -> tuple:
     return features, thresholds, lefts, rights, roots, labels
 
 
-def evaluate_batch(tree: Tree, X) -> np.ndarray:
-    """Leaf labels for every row of an (m, d) matrix."""
+def _route(tree: Tree, X: np.ndarray, max_depth: Optional[int] = None) -> Iterator[tuple]:
+    """(node, depth, rows) of every node at depth <= max_depth (None: no
+    limit), rows indexing the rows of X that reach it; NaN goes right. A
+    split above max_depth that reads past X's width raises
+    FeatureOutOfRange, whether or not rows reach it."""
+    width = X.shape[1]
+    stack = [(tree, 0, np.arange(X.shape[0]))]
+    while stack:
+        node, depth, idx = stack.pop()
+        yield node, depth, idx
+        if isinstance(node, Leaf) or depth == max_depth:
+            continue
+        if node.feature > width:
+            raise FeatureOutOfRange(f"tree reads feature {node.feature} but input has width {width}")
+        go_left = X[idx, node.feature - 1] <= node.threshold
+        stack.append((node.left, depth + 1, idx[go_left]))
+        stack.append((node.right, depth + 1, idx[~go_left]))
+
+
+def _row_matrix(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("expected a 2-d row matrix")
-    width = X.shape[1]
+    return X
+
+
+def evaluate_batch(tree: Tree, X) -> np.ndarray:
+    """Leaf labels for every row of an (m, d) matrix."""
+    X = _row_matrix(X)
     out = np.empty(X.shape[0], dtype=np.int64)
-    stack = [(tree, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
+    for node, _, idx in _route(tree, X):
         if isinstance(node, Leaf):
             out[idx] = node.label
-            continue
-        if node.feature > width:
-            raise FeatureOutOfRange(
-                f"tree reads feature {node.feature} but input has width {width}"
-            )
-        go_left = X[idx, node.feature - 1] <= node.threshold
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
+    return out
+
+
+def depth_labels(grown: Tree, X, max_depth: int) -> np.ndarray:
+    """Labels of every depth budget from one walk of a grown tree.
+
+    Row b of the (max_depth + 1, m) result equals
+    evaluate_batch(truncate_depth(grown, b), X): a split at depth d writes
+    its majority into row d, the leaf it collapses to under budget d, and a
+    leaf at depth d writes its label into rows d..max_depth. Raises
+    FeatureOutOfRange where evaluating the max_depth truncation would.
+    """
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    X = _row_matrix(X)
+    out = np.empty((max_depth + 1, X.shape[0]), dtype=np.int64)
+    for node, depth, idx in _route(grown, X, max_depth):
+        if isinstance(node, Leaf):
+            out[depth:, idx] = node.label
+        else:
+            out[depth, idx] = node.majority
     return out
 
 

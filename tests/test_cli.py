@@ -289,3 +289,45 @@ def test_train_separates_adjacent_doubles(tmp_path, capsys):
     assert code == 0
     assert "train_accuracy,1.0" in out.splitlines()
     assert "total_leaves,2" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen-data", "--n", "2", "--count", "50", "--out", "afile/sim"),
+        ("experiment", "bounds", "--out", "afile"),
+        ("gini-map", "--p", "2", "--n", "2", "--svg", "afile/plots"),
+        ("fetch-uci", "--name", "pendigits", "--cache", "afile", "--offline"),
+    ],
+    ids=["gen-data", "experiment", "gini-map", "fetch-uci"],
+)
+def test_output_directory_through_a_file_exits_with_error_line(tmp_path, capsys, argv):
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg.startswith("afile") else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot make directory {tmp_path / 'afile'}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "error: empty result table"),
+        ("experiment,model,total_leaves,test_accuracy\nsim,T,3,0.5\n",
+         "error: line 1: a sim table needs a 'subject' column"),
+        ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,T,3,0.5\nsim,n=2,T,x,0.5\n",
+         "error: line 3: total_leaves 'x' is not a number"),
+        ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,a=3,T,3,0.5\n",
+         "error: line 2: expected 5 fields, got 6"),
+    ],
+    ids=["empty", "no-subject", "bad-cell", "wide-row"],
+)
+def test_plot_rejects_malformed_table(tmp_path, capsys, text, message):
+    table = tmp_path / "sim.csv"
+    table.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "plot", "--kind", "sim", "--table", str(table), "--out", str(tmp_path / "p")
+    )
+    assert (code, out, err) == (1, "", message + "\n")
+    assert not list(tmp_path.glob("p/*.svg"))

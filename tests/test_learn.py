@@ -19,7 +19,6 @@ from deeptrees.lattice import LatticeSpace, ParityConcept
 from deeptrees.learn import (
     TrainConfig,
     accuracy,
-    depth_labels,
     depth_leaf_counts,
     predict,
     train_cascade,
@@ -36,6 +35,7 @@ from deeptrees.sexpr import parse_model, print_model
 from deeptrees.tree import (
     Leaf,
     Node,
+    depth_labels,
     dim_from_leaves,
     evaluate_batch,
     leaf_count,
@@ -612,7 +612,7 @@ def reference_grow(X, y, cfg, rows, tree_seed):
     admit(np.asarray(rows), 0, 1)
     while frontier and not (best_first and len(splits) + 1 >= cfg.max_leaves):
         _, _, node_id, depth, idx, (_, feature, threshold) = pop(frontier)
-        splits[node_id] = (feature, threshold, len(splits))
+        splits[node_id] = (feature, threshold, len(splits) if best_first else None)
         go_left = X[idx, feature - 1] <= threshold
         children = [(idx[go_left], 2 * node_id), (idx[~go_left], 2 * node_id + 1)]
         for child_idx, child_id in (children if best_first else reversed(children)):
@@ -679,7 +679,8 @@ def grown_by_every_entry_point(X, y, seed):
 
 
 def assert_same_growth(mine, reference):
-    """Same trees, and every split's majority and realization order too."""
+    """Same trees, and every split's majority and realization order too: a
+    best-first split's position in its tree's growth, None for depth-first."""
     assert len(mine) == len(reference)
     for a, b in zip(mine, reference):
         assert a == b

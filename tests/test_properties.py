@@ -2,6 +2,8 @@
 installed. The fixed-seed cases of the same properties live next to the
 code they test and run without it."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,17 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from deeptrees import learn  # noqa: E402
-from deeptrees.learn import TrainConfig, train_cascade, train_label_cascades, train_tree  # noqa: E402
-from deeptrees.tree import Node  # noqa: E402
+from deeptrees.errors import FeatureOutOfRange  # noqa: E402
+from deeptrees.learn import (  # noqa: E402
+    TrainConfig,
+    train_cascade,
+    train_forest_grown,
+    train_label_cascades,
+    train_tree,
+    train_tree_grown,
+    truncate_depth,
+)
+from deeptrees.tree import Node, depth_labels, evaluate_batch, walk  # noqa: E402
 from deeptrees.construct import build_parity_deeptree, compile_to_deeptree  # noqa: E402
 from deeptrees.lattice import LatticeSpace  # noqa: E402
 from deeptrees.rng import generator, permutations  # noqa: E402
@@ -164,3 +175,52 @@ def test_layer_prediction_prefixes_equal_retrained_cascades(seed, rows, classes,
             retrained = train_cascade(X, y, TrainConfig(max_depth=max_depth, cascade_depth=k))
             assert retrained.layers == cascade.layers[:k]
             assert np.array_equal(labels, retrained.predict_batch(rows_in))
+
+
+def assert_scores_every_budget(grown, X, max_depth):
+    """depth_labels(grown, X, D)[b] is the truncation to b evaluated, for
+    every b <= D. Both raise FeatureOutOfRange when a split above depth D
+    reads past X's width, whether or not rows reach it."""
+    if any(isinstance(node, Node) and depth < max_depth and node.feature > X.shape[1]
+           for node, depth in walk(grown)):
+        with pytest.raises(FeatureOutOfRange):
+            evaluate_batch(truncate_depth(grown, max_depth), X)
+        with pytest.raises(FeatureOutOfRange):
+            depth_labels(grown, X, max_depth)
+        return
+    labels = depth_labels(grown, X, max_depth)
+    assert labels.shape == (max_depth + 1, len(X))
+    for b in range(max_depth + 1):
+        assert np.array_equal(labels[b], evaluate_batch(truncate_depth(grown, b), X))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(2, 120),
+    cols=st.integers(1, 4),
+    n_classes=st.integers(2, 4),
+    levels=st.sampled_from((2, 4, 50)),
+    max_depth=st.sampled_from((None, 0, 1, 3, 6)),
+    max_leaves=st.sampled_from((None, 5)),
+    nan_share=st.sampled_from((0.0, 0.2)),
+)
+def test_depth_labels_equal_evaluated_truncations(
+    seed, rows, cols, n_classes, levels, max_depth, max_leaves, nan_share
+):
+    """Grown trees of a single tree and a forest on tie-heavy rows, scored
+    on their training rows, on unseen rows with NaN features, and on
+    narrower rows, which some splits read past: three rows leave most
+    branches empty, and a split inside the limit still raises."""
+    X, y = growth_corpus(seed, rows, cols, n_classes, levels)
+    cfg = TrainConfig(max_depth=max_depth, max_leaves=max_leaves, seed=seed % 1000, n_trees=2,
+                      feature_subsample="sqrt")
+    grown = train_forest_grown(X, y, cfg) + [train_tree_grown(X, y, replace(cfg, feature_subsample="all"))]
+    rng = generator(seed, "depth-labels-property")
+    unseen = np.floor(rng.random((40, cols)) * (levels + 2)) - 1.5
+    unseen[rng.random(unseen.shape) < nan_share] = np.nan
+    for g in grown:
+        height = max(depth for _, depth in walk(g))
+        for deepest in sorted({0, height // 2, height, height + 2}):
+            for rows_in in (X, unseen, *(unseen[:3, :width] for width in range(cols))):
+                assert_scores_every_budget(g, rows_in, deepest)
