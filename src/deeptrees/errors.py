@@ -107,7 +107,7 @@ class UnreachableSource(DeepTreesError):
 
 
 class ConfigError(DeepTreesError, ValueError):
-    """An experiment configuration names an unknown or invalid setting."""
+    """A configuration, argument or plotted value is unknown or out of range."""
 
 
 class EmptyTable(DeepTreesError):

@@ -126,7 +126,9 @@ class ExperimentConfig:
         ):
             if not getattr(self, grid_name):
                 raise ConfigError(f"{grid_name} must be a nonempty grid")
-        for grid_name in ("sim_ns", "gini_ns", "gini_a_values", "uci_rf_widths", "uci_df_widths"):
+        for grid_name in (
+            "sim_ns", "gini_ns", "gini_a_values", "uci_rf_widths", "uci_df_widths", "uci_tree_sizes",
+        ):
             if min(getattr(self, grid_name)) < 1:
                 raise ConfigError(f"{grid_name} must be >= 1")
         if self.sim_a <= 0:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OutOfBounds, SpaceTooLarge, UnsupportedCardinality
+from .errors import ConfigError, OutOfBounds, SpaceTooLarge, UnsupportedCardinality
 from .rng import generator
 
 DEFAULT_ENUMERATION_CAP = 2**24
@@ -27,7 +27,7 @@ class LatticeSpace:
 
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
-            raise ValueError(f"lattice requires n >= 1 and p >= 1, got n={self.n}, p={self.p}")
+            raise ConfigError(f"lattice requires n >= 1 and p >= 1, got n={self.n}, p={self.p}")
 
     @property
     def size(self) -> int:

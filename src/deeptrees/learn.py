@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import CascadeForest, DeepTree, Forest, predict_batch
-from .errors import EmptyDataset, NonFiniteFeature, NonIntegralLabel
+from .errors import ConfigError, EmptyDataset, NonFiniteFeature, NonIntegralLabel
 from .rng import generator, permutations, seed_sequence
 from .tree import Leaf, Node, Tree, evaluate_batch, walk
 
@@ -69,14 +69,18 @@ class TrainConfig:
     augment_mode: str = "label"  # "label" | "classvector"
 
     def __post_init__(self):
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ConfigError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.max_leaves is not None and self.max_leaves < 1:
+            raise ConfigError(f"max_leaves must be >= 1, got {self.max_leaves}")
         if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+            raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.cascade_depth < 1:
-            raise ValueError("cascade_depth must be >= 1")
+            raise ConfigError(f"cascade_depth must be >= 1, got {self.cascade_depth}")
         if self.feature_subsample not in ("all", "sqrt"):
-            raise ValueError(f"unknown feature_subsample {self.feature_subsample!r}")
+            raise ConfigError(f"unknown feature_subsample {self.feature_subsample!r}")
         if self.augment_mode not in ("label", "classvector"):
-            raise ValueError(f"unknown augment_mode {self.augment_mode!r}")
+            raise ConfigError(f"unknown augment_mode {self.augment_mode!r}")
 
 
 def _assemble(majority: dict, splits: dict) -> Tree:

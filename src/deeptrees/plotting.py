@@ -9,7 +9,7 @@ figures.
 import math
 
 from .data_io import make_dir, write_text
-from .errors import EmptyTable, MalformedRow
+from .errors import ConfigError, EmptyTable, MalformedRow
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 46
@@ -91,9 +91,11 @@ def line_chart(series, title, x_label, y_label, log_x=False) -> str:
         raise EmptyTable("no series to plot")
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in xs_all + ys_all):
+        raise ConfigError("plot points must be finite")
     if log_x:
         if min(xs_all) <= 0:
-            raise ValueError("log axis requires positive x values")
+            raise ConfigError(f"log axis requires positive x values, got {min(xs_all)!r}")
         xs_all = [math.log10(x) for x in xs_all]
     x_lo, x_hi = _axis_range(xs_all)
     y_lo, y_hi = _axis_range(ys_all)

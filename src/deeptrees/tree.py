@@ -10,11 +10,14 @@ which is 3m + 1 for m parent nodes, or equivalently 3*(leaves - 1) + 1.
 Every walk uses an explicit stack, so no depth hits the interpreter's
 recursion limit.
 
-Single-row queries on ensembles do not chase Node objects: split_table
-compiles a sequence of trees into parallel flat lists (feature,
-threshold, left child, right child per split, one root per tree), and a
-row is routed by a tight loop over those lists. Batches of rows take one
-walk, _route, which evaluate_batch and depth_labels both read.
+Single-row queries on ensembles do not chase Node objects: point_router
+writes a sequence of trees out as the Python source of one function of
+a row, every split an ``if row[f] <= t:`` block (so NaN goes right), and
+compiles it. Blocks nest at most CHUNK_DEPTH levels, because CPython
+refuses source indented 100 levels deep; a deeper subtree becomes its
+own chunk function, walked by a trampoline loop, so neither building nor
+routing recurses. Batches of rows take one walk, _route, which
+evaluate_batch and depth_labels both read.
 """
 
 import math
@@ -145,7 +148,7 @@ def evaluate(tree: Tree, x) -> int:
     The row is converted once with ``tolist()`` and compared on Python
     floats, which are the same float64 values without the per-node cost of
     indexing a numpy array. Ensembles route their point queries through a
-    split_table instead, compiled once per model.
+    point_router instead, compiled once per model.
     """
     row = np.asarray(x, dtype=np.float64).tolist()
     width = len(row)
@@ -158,35 +161,77 @@ def evaluate(tree: Tree, x) -> int:
     return tree.label
 
 
-def split_table(trees) -> tuple:
-    """Flat routing table of a sequence of trees, for single-row queries.
+CHUNK_DEPTH = 32  # if-blocks nested in one generated function; CPython refuses 100
 
-    Returns (features, thresholds, lefts, rights, roots, labels). Split s
-    sends a row left to lefts[s] when row[features[s]] <= thresholds[s]
-    (a 0-based feature, a Python-float threshold) and right to rights[s]
-    otherwise, so a NaN feature goes right, as in evaluate_batch. roots
-    holds one entry per tree and labels the ascending leaf labels. A child
-    or root c >= 0 is split c; c < 0 is the leaf labels[~c]. Splits are
-    numbered in pre-order, tree after tree, on one explicit stack.
+
+def point_router(trees, chained: bool = False) -> tuple[Callable, tuple]:
+    """One compiled Python function routing a row (a list of Python floats)
+    through every tree, and the ascending labels of their leaves.
+
+    A forest's function (chained False) returns the vote count of each
+    label. A deep tree's (chained True) runs the trees in order, writing
+    each one's label as a float into row[-1] before the next reads it, and
+    returns the index of the last one's label. Subtrees rooted CHUNK_DEPTH
+    levels below the top of their function become chunk functions, each
+    returning the number of the next chunk or ~(label index), which the
+    loop ``while c >= 0: c = C[c](row)`` walks. The source holds only
+    integers and the reprs of finite floats, never text from a model.
     """
     labels = tuple(sorted({int(label) for tree in trees for label in tree_labels(tree)}))
-    leaf_ref = {label: ~i for i, label in enumerate(labels)}
-    features, thresholds, lefts, rights, roots = [], [], [], [], []
-    for tree in trees:
-        stack = [(tree, roots, len(roots))]
-        roots.append(None)
+    index = {label: i for i, label in enumerate(labels)}
+    chunks = []  # roots of the chunk functions, numbered as they are met
+
+    def block(tree, indent, leaf, jump) -> list:
+        """Source lines of a tree as nested if-blocks: leaf(i) and jump(k)
+        give the statements of a leaf with label index i and of a jump to
+        chunk k."""
+        lines, stack = [], [(tree, 0)]
         while stack:
-            node, slots, slot = stack.pop()
-            if isinstance(node, Leaf):
-                slots[slot] = leaf_ref[node.label]
+            item, depth = stack.pop()
+            if isinstance(item, str):
+                lines.append(item)
                 continue
-            s = slots[slot] = len(features)
-            features.append(node.feature - 1)
-            thresholds.append(float(node.threshold))
-            lefts.append(None)
-            rights.append(None)
-            stack += ((node.right, rights, s), (node.left, lefts, s))
-    return features, thresholds, lefts, rights, roots, labels
+            pad = "    " * (indent + depth)
+            if isinstance(item, Leaf):
+                statements = leaf(index[int(item.label)])
+            elif depth == CHUNK_DEPTH:
+                chunks.append(item)
+                statements = jump(len(chunks) - 1)
+            else:
+                lines.append(f"{pad}if row[{int(item.feature) - 1}] <= {float(item.threshold)!r}:")
+                stack += ((item.right, depth + 1), (pad + "else:", None), (item.left, depth + 1))
+                continue
+            lines += [pad + statement for statement in statements]
+        return lines
+
+    def inline(tree, leaf) -> list:
+        """A tree's lines in route, leaf(i) the statement of label index i:
+        an integer, or ~c after the trampoline walked a chunk."""
+
+        def jump(k):
+            return [f"c = {k}", "while c >= 0:", "    c = C[c](row)", leaf("~c")]
+
+        return block(tree, 1, lambda i: [leaf(i)], jump)
+
+    if chained:
+        lines = ["def route(row):"]
+        for i, tree in enumerate(trees):
+            if i:
+                lines.append("    row[-1] = F[a]")
+            lines += inline(tree, "a = {}".format)
+        lines.append("    return a")
+    else:
+        lines = ["def route(row):", f"    v = {[0] * len(labels)!r}"]
+        for tree in trees:
+            lines += inline(tree, "v[{}] += 1".format)
+        lines.append("    return v")
+    for k, root in enumerate(chunks):  # chunks found on the way are appended
+        lines.append(f"def c{k}(row):")
+        lines += block(root, 1, lambda i: [f"return {~i}"], lambda k: [f"return {k}"])
+    namespace = {"__builtins__": {}, "F": tuple(map(float, labels))}
+    exec(compile("\n".join(lines), "<point router>", "exec"), namespace)
+    namespace["C"] = tuple(namespace[f"c{k}"] for k in range(len(chunks)))
+    return namespace["route"], labels
 
 
 def _route(tree: Tree, X: np.ndarray, max_depth: Optional[int] = None) -> Iterator[tuple]:

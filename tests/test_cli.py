@@ -320,8 +320,12 @@ def test_output_directory_through_a_file_exits_with_error_line(tmp_path, capsys,
          "error: line 3: total_leaves 'x' is not a number"),
         ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,a=3,T,3,0.5\n",
          "error: line 2: expected 5 fields, got 6"),
+        ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,T,0,0.5\nsim,n=2,T,3,0.7\n",
+         "error: log axis requires positive x values, got 0"),
+        ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,T,1,nan\nsim,n=2,T,3,0.7\n",
+         "error: plot points must be finite"),
     ],
-    ids=["empty", "no-subject", "bad-cell", "wide-row"],
+    ids=["empty", "no-subject", "bad-cell", "wide-row", "zero-leaves", "nan-accuracy"],
 )
 def test_plot_rejects_malformed_table(tmp_path, capsys, text, message):
     table = tmp_path / "sim.csv"
@@ -331,3 +335,28 @@ def test_plot_rejects_malformed_table(tmp_path, capsys, text, message):
     )
     assert (code, out, err) == (1, "", message + "\n")
     assert not list(tmp_path.glob("p/*.svg"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("train", "--model", "forest", "--n-trees", "0"),
+        ("train", "--model", "cascade-tree", "--cascade-depth", "0"),
+        ("train", "--model", "tree", "--max-depth", "-1"),
+        ("train", "--model", "tree", "--max-leaves", "0"),
+        ("gen-data", "--n", "0"),
+        ("gen-data", "--n", "2", "--count", "0"),
+    ],
+    ids=["n-trees", "cascade-depth", "max-depth", "max-leaves", "gen-data-n", "gen-data-count"],
+)
+def test_out_of_range_argument_exits_with_error_line(tmp_path, capsys, argv):
+    data = tmp_path / "data.csv"
+    data.write_text("f1,label\n1.0,1\n2.0,-1\n", encoding="utf-8")
+    if argv[0] == "train":
+        argv += ("--data", str(data), "--out", str(tmp_path / "m.sexp"))
+    else:
+        argv += ("--out", str(tmp_path / "sim"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv"]

@@ -20,7 +20,7 @@ from deeptrees.lattice import LatticeSpace, ParityConcept
 from deeptrees.learn import TrainConfig, train_cascade, train_forest
 from deeptrees.rng import generator
 from deeptrees.sexpr import parse_model, print_model
-from deeptrees.tree import Leaf, Node, evaluate, evaluate_batch, split_table
+from deeptrees.tree import CHUNK_DEPTH, Leaf, Node, evaluate, evaluate_batch, point_router
 
 from test_tree import DEEP, PARITY_2x2, deep_chain, random_tree
 
@@ -331,18 +331,43 @@ def forest_ties(forest, X) -> int:
 
 
 @pytest.mark.parametrize("labels", LABEL_SETS)
-def test_point_router_matches_reference_and_batch(labels):
-    rng = generator(len(labels), "point-router")
-    ties = leaf_members = 0
-    for kind in MODEL_KINDS:
-        for trial in range(12):
-            model = random_model(rng, kind, labels)
-            X = random_rows(rng, 40)
+def test_point_router_matches_reference_and_batch(labels, monkeypatch):
+    # chunk depths 1 and 2 send most of the same models through the trampoline
+    for chunk_depth in (CHUNK_DEPTH, 1, 2):
+        monkeypatch.setattr("deeptrees.tree.CHUNK_DEPTH", chunk_depth)
+        rng = generator(len(labels), "point-router")
+        ties = leaf_members = 0
+        for kind in MODEL_KINDS:
+            for trial in range(12):
+                model = random_model(rng, kind, labels)
+                X = random_rows(rng, 40)
+                assert_point_answers(model, X)
+                if kind == "forest":
+                    ties += forest_ties(model, X)
+                    leaf_members += sum(isinstance(t, Leaf) for t in model.trees)
+        assert ties >= 10 and leaf_members >= 3, "the sample must exercise ties and leaf-only members"
+
+
+def test_point_router_keeps_exact_thresholds():
+    """Thresholds are written into the router's source as exact literals:
+    signed zero, the smallest subnormal, the largest finite doubles,
+    adjacent doubles and a numpy scalar, with numpy-integer features and
+    labels."""
+    big, below_one = 1.7976931348623157e308, float(np.nextafter(1.0, 0.0))
+    thresholds = (-0.0, 5e-324, big, -big, below_one, 1.0, np.float64(0.1))
+    values = [
+        -np.inf, -big, np.nextafter(-big, 0.0), -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-323,
+        0.1, np.nextafter(0.1, 0.0), np.nextafter(0.1, 1.0), below_one, 1.0,
+        np.nextafter(1.0, 2.0), np.nextafter(big, 0.0), big, np.inf, np.nan,
+    ]
+    X = np.array(values)[:, None]
+    one, two = np.int64(1), np.int64(2)
+    for t in thresholds:
+        stump = Node(one, t, Leaf(np.int64(-4)), Leaf(np.int64(9)))
+        # layer 2 reads layer 1's label, then splits feature 1 again
+        second = Node(two, np.float64(0.0), Leaf(np.int64(3)), Node(one, t, Leaf(np.int64(-4)), Leaf(one)))
+        for model in (Forest((stump,)), DeepTree((stump, second))):
             assert_point_answers(model, X)
-            if kind == "forest":
-                ties += forest_ties(model, X)
-                leaf_members += sum(isinstance(t, Leaf) for t in model.trees)
-    assert ties >= 10 and leaf_members >= 3, "the sample must exercise ties and leaf-only members"
 
 
 def test_point_router_on_trained_models():
@@ -373,8 +398,11 @@ def test_point_router_on_a_deep_chain():
     assert [deeptree.predict(x) for x in X] == [1, 7, 1, 7, 1, 1]
     for model in (forest, deeptree):
         assert_point_answers(model, X)
-    features, thresholds, lefts, rights, roots, labels = split_table((chain,))
-    assert len(features) == DEEP and roots == [0] and labels == (-1, 1)
+    # below its first CHUNK_DEPTH levels, each chain fills whole chunk functions
+    chunks = -(-DEEP // CHUNK_DEPTH) - 1
+    for model, labels in ((forest, (-1, 1)), (deeptree, (-1, 1, 7))):
+        route, model_labels, _ = model._router
+        assert len(route.__globals__["C"]) == 2 * chunks and model_labels == labels
 
 
 def test_nan_routes_right_in_point_and_batch_queries():
@@ -421,11 +449,11 @@ def test_point_query_keeps_model_identity():
 def test_models_build_no_table_until_a_point_query(monkeypatch):
     built = []
 
-    def counting_table(trees):
+    def counting_router(trees, chained=False):
         built.append(len(trees))
-        return split_table(trees)
+        return point_router(trees, chained)
 
-    monkeypatch.setattr(ensemble, "split_table", counting_table)
+    monkeypatch.setattr(ensemble, "point_router", counting_router)
     rng = generator(10, "lazy-table")
     X = rng.random((100, 2)) * 4
     y = (X[:, 0] > 2).astype(np.int64)

@@ -48,11 +48,15 @@ from test_tree import random_tree  # noqa: E402
     kind=st.sampled_from(MODEL_KINDS),
     seed=st.integers(0, 2**32 - 1),
     nan_share=st.sampled_from((0.0, 0.1, 0.5)),
+    chunk_depth=st.sampled_from((None, 1, 2)),
 )
-def test_point_router_equals_reference_and_batch(labels, kind, seed, nan_share):
+def test_point_router_equals_reference_and_batch(labels, kind, seed, nan_share, chunk_depth):
     rng = generator(seed, "router-property")
-    model = random_model(rng, kind, tuple(labels))
-    assert_point_answers(model, random_rows(rng, 30, nan_share))
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_depth is not None:
+            patch.setattr("deeptrees.tree.CHUNK_DEPTH", chunk_depth)
+        model = random_model(rng, kind, tuple(labels))
+        assert_point_answers(model, random_rows(rng, 30, nan_share))
 
 
 @settings(max_examples=80, deadline=None, database=None)
