@@ -18,6 +18,7 @@ import numpy as np
 
 from .ensemble import Forest, predict_batch, total_leaves
 from .errors import (
+    ConfigError,
     EmptyRegion,
     OutOfBounds,
     PreconditionViolated,
@@ -25,7 +26,7 @@ from .errors import (
     SpaceTooLarge,
 )
 from .lattice import Concept, LatticeDistribution, LatticeSpace
-from .tree import Leaf, Node, Region, Tree, region_size
+from .tree import Leaf, Node, Region, Tree, full_region, region_size, split_region
 
 PARTITION_CAP = 2**20
 ORACLE_POINT_CAP = 2**6
@@ -153,8 +154,7 @@ def risk_report(model, concept: Concept, dist: LatticeDistribution, space: Latti
         raise SpaceTooLarge(f"p^n = {space.size} exceeds cap {cap}")
     points = space.enumerate_points(cap)
     predictions = predict_batch(model, points.astype(np.float64))
-    full_region: Region = tuple((1, space.p) for _ in range(space.n))
-    truth, weights = _region_grid(space, concept, dist, full_region)
+    truth, weights = _region_grid(space, concept, dist, full_region(space))
     wrong = predictions != truth.ravel()
     error_size = int(np.count_nonzero(wrong))
     exact = Fraction(int(weights.ravel()[wrong].sum()), dist.total_weight_int())
@@ -263,14 +263,7 @@ class _OracleSearch:
             for feature in range(1, self.space.n + 1):
                 lo, hi = region[feature - 1]
                 for cut in range(lo, hi):
-                    left = tuple(
-                        (lo2, cut) if j == feature - 1 else (lo2, hi2)
-                        for j, (lo2, hi2) in enumerate(region)
-                    )
-                    right = tuple(
-                        (cut + 1, hi2) if j == feature - 1 else (lo2, hi2)
-                        for j, (lo2, hi2) in enumerate(region)
-                    )
+                    left, right = split_region(region, feature - 1, cut)
                     for left_budget in range(1, budget):
                         el, _ = self.min_error(left, left_budget)
                         er, _ = self.min_error(right, budget - left_budget)
@@ -286,12 +279,7 @@ class _OracleSearch:
             w_pos, w_neg = self.region_class_weights(region)
             return Leaf(-1 if w_pos <= w_neg else +1)
         feature, cut, left_budget = choice
-        left = tuple(
-            (lo, cut) if j == feature - 1 else (lo, hi) for j, (lo, hi) in enumerate(region)
-        )
-        right = tuple(
-            (cut + 1, hi) if j == feature - 1 else (lo, hi) for j, (lo, hi) in enumerate(region)
-        )
+        left, right = split_region(region, feature - 1, cut)
         return Node(
             feature,
             float(cut),
@@ -312,15 +300,18 @@ def tree_complexity_oracle(space: LatticeSpace, concept: Concept, dist: LatticeD
     if space.size > point_cap:
         raise SpaceTooLarge(f"oracle limited to p^n <= {point_cap}, got {space.size}")
     if max_leaves < 1:
-        raise ValueError("max_leaves must be >= 1")
-    epsilon = Fraction(epsilon)
+        raise ConfigError(f"max_leaves must be >= 1, got {max_leaves}")
+    try:
+        epsilon = Fraction(epsilon)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"epsilon must be a rational number such as 1/4, got {epsilon!r}") from None
     search = _OracleSearch(space, concept, dist, node_budget)
     total_weight = dist.total_weight_int()
-    full_region: Region = tuple((1, space.p) for _ in range(space.n))
+    region = full_region(space)
     for leaves in range(1, max_leaves + 1):
-        err, _ = search.min_error(full_region, leaves)
+        err, _ = search.min_error(region, leaves)
         if Fraction(err, total_weight) <= epsilon:
-            witness = search.build_witness(full_region, leaves)
+            witness = search.build_witness(region, leaves)
             return ComplexityResult(
                 family="tree",
                 epsilon=epsilon,
@@ -373,7 +364,7 @@ def gini_gain_map(space: LatticeSpace, dist: LatticeDistribution, concept: Conce
                   region: Optional[Region] = None, cap: int = PARTITION_CAP) -> GiniGainMap:
     """Gini gain of every (feature, integer cut) split under the conditional law."""
     if region is None:
-        region = tuple((1, space.p) for _ in range(space.n))
+        region = full_region(space)
     if space.size > cap:
         raise SpaceTooLarge(f"p^n = {space.size} exceeds cap {cap}")
     if region_size(region) == 0:

@@ -8,7 +8,6 @@ the schemas.
 import argparse
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +34,7 @@ from .data_io import (
     write_text,
 )
 from .ensemble import Forest, model_dim, total_leaves
-from .errors import DeepTreesError
+from .errors import DeepTreesError, PreconditionViolated
 from .lattice import (
     ConstantConcept,
     LatticeSpace,
@@ -46,6 +45,7 @@ from .lattice import (
 from .learn import TrainConfig, accuracy, train_cascade, train_forest, train_tree
 from .plotting import render_plots, table_rows
 from .sexpr import parse_model, print_model
+from .tree import Leaf, Node
 
 
 def _space_args(parser):
@@ -70,8 +70,12 @@ def _make_concept(args, space):
     return ConstantConcept(space, 1)
 
 
-def _read_model(path):
-    return parse_model(read_text(path))
+def _read_model(path, kinds=object, what="model"):
+    """The model in a file; PreconditionViolated unless it is one of kinds."""
+    model = parse_model(read_text(path))
+    if not isinstance(model, kinds):
+        raise PreconditionViolated(f"{path} holds a {type(model).__name__}; expected {what}")
+    return model
 
 
 def _write_model(model, path):
@@ -121,7 +125,7 @@ def cmd_build_parity(args):
 
 def cmd_compile_tree(args):
     space = LatticeSpace(args.n, args.p)
-    source = _read_model(getattr(args, "in"))
+    source = _read_model(getattr(args, "in"), (Leaf, Node), "a tree")
     compiled = compile_to_deeptree(source, space)
     _write_model(compiled, args.out)
     lines = [f"wrote {args.out}"]
@@ -199,7 +203,7 @@ def cmd_complexity(args):
         space,
         _make_concept(args, space),
         _make_dist(args, space),
-        Fraction(args.epsilon),
+        args.epsilon,
         args.max_leaves,
     )
     lines = [
@@ -223,7 +227,7 @@ def cmd_complexity(args):
 
 def cmd_leafbound(args):
     space = LatticeSpace(args.n, args.p)
-    model = _read_model(args.model)
+    model = _read_model(args.model, (Leaf, Node, Forest), "a tree or a forest")
     if not isinstance(model, Forest):
         model = Forest((model,))
     report = forest_zero_error_leafbound(model, ParityConcept(space), space)

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .ensemble import DeepTree, model_dim
-from .errors import NonLatticeThreshold, PreconditionViolated
+from .errors import ConfigError, NonLatticeThreshold, PreconditionViolated
 from .lattice import LatticeSpace
 from .tree import Leaf, Node, Region, Tree, dim_of, leaf_regions
 
@@ -32,7 +32,7 @@ def build_parity_deeptree(p: int, n: int) -> DeepTree:
     size stays under 10*p*n.
     """
     if p < 1 or n < 1:
-        raise ValueError(f"requires p >= 1 and n >= 1, got p={p}, n={n}")
+        raise ConfigError(f"requires p >= 1 and n >= 1, got p={p}, n={n}")
     aug = n + 1
     layers: list[Tree] = [Leaf(-1)]
     for q in range(2, p + 1):

@@ -27,7 +27,7 @@ from .errors import (
     UnreadableFile,
     UnwritableFile,
 )
-from .lattice import LatticeSpace, ProductDistribution, UniformDistribution
+from .lattice import LatticeSpace, ParityConcept, ProductDistribution, UniformDistribution
 from .rng import generator
 
 DEFAULT_CACHE_ENV = "DEEPTREES_CACHE"
@@ -111,7 +111,7 @@ def generate_simulation(spec: SimulationSpec) -> LabeledDataset:
     points = dist.sample(spec.sample_count, spec.seed)
     noise = generator(spec.seed, "simulation.noise").random((spec.sample_count, spec.n)) - 0.5
     X = points.astype(np.float64) + noise
-    y = 1 - 2 * (points.sum(axis=1) & 1)
+    y = ParityConcept(dist.space).labels(points)
     perm = generator(spec.seed, "simulation.split").permutation(spec.sample_count)
     n_train, _ = split_sizes(spec.sample_count, spec.split_fraction)
     return LabeledDataset(

@@ -39,8 +39,14 @@ from .ensemble import (
     resolve_votes,
     total_leaves,
 )
-from .errors import ConfigError
-from .lattice import LatticeSpace, ParityConcept, ProductDistribution, UniformDistribution
+from .errors import ConfigError, PreconditionViolated
+from .lattice import (
+    LatticeSpace,
+    ParityConcept,
+    ProductDistribution,
+    UniformDistribution,
+    parity_label,
+)
 from .learn import (
     TrainConfig,
     depth_leaf_counts,
@@ -52,7 +58,18 @@ from .learn import (
     train_tree_grown,
 )
 from .rng import generator
-from .tree import Leaf, Node, Region, depth_labels, dim_from_leaves, evaluate_batch, leaf_count, tree_labels
+from .tree import (
+    Leaf,
+    Node,
+    Region,
+    depth_labels,
+    dim_from_leaves,
+    evaluate_batch,
+    full_region,
+    leaf_count,
+    split_region,
+    tree_labels,
+)
 
 SIM_MODELS_DEFAULT = ("T", "DT-2", "DT-3", "DT-4", "RF-9", "RF-19", "RF-29")
 
@@ -276,7 +293,14 @@ def strip_wall_time(csv_text: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sim_row(cfg, subject, model_name, depth, leaves, dim, accuracies, elapsed) -> dict:
+def _stamp(row: dict, start: float) -> dict:
+    """Write the seconds since start into the wall_time of a block's largest
+    cell, the one that carries the block's training and scoring."""
+    row["wall_time"] = round(time.perf_counter() - start, 6)
+    return row
+
+
+def _sim_row(cfg, subject, model_name, depth, leaves, dim, accuracies) -> dict:
     train_acc, test_acc = accuracies
     return {
         "experiment": "sim",
@@ -287,7 +311,7 @@ def _sim_row(cfg, subject, model_name, depth, leaves, dim, accuracies, elapsed) 
         "dim": dim,
         "train_accuracy": train_acc,
         "test_accuracy": test_acc,
-        "wall_time": round(elapsed, 6),
+        "wall_time": 0.0,
         "seed": cfg.seed,
     }
 
@@ -335,23 +359,18 @@ def _splits(data) -> tuple:
     return ((data.train_X, data.train_y), (data.test_X, data.test_y))
 
 
-def _vote_rows(cfg, subject, names, members, data, depths, grow_time) -> dict:
+def _vote_rows(cfg, subject, names, members, data, depths) -> dict:
     """Rows of every width prefix of grown members at every depth budget.
 
     names maps each width to its model name. Each member is walked once per
-    split by depth_labels, which scores every depth at once. The widest
-    model's deepest cell carries grow_time plus all the scoring, the other
-    cells 0.
+    split by depth_labels, which scores every depth at once.
     """
-    start = time.perf_counter()
     deepest = max(depths)
     leaf_counts = [depth_leaf_counts(g, deepest) for g in members]
     prefixes = _width_prefixes(
         members, leaf_counts, _splits(data), names, set(depths),
         lambda grown, X: depth_labels(grown, X, deepest),
     )
-    elapsed = grow_time + time.perf_counter() - start
-    widest = max(names)
     rows: dict = {}
     for width, name in names.items():
         leaves, dims, train_accuracy, test_accuracy = prefixes[width]
@@ -359,7 +378,6 @@ def _vote_rows(cfg, subject, names, members, data, depths, grow_time) -> dict:
             _sim_row(
                 cfg, subject, name, depth, int(leaves[depth]), int(dims[depth]),
                 (train_accuracy[depth], test_accuracy[depth]),
-                elapsed if (width, depth) == (widest, deepest) else 0.0,
             )
             for depth in depths
         ]
@@ -373,18 +391,12 @@ def _cascade_rows(cfg, subject, names, tree_grown, data, depths) -> dict:
     cascade depends only on (seed, d) and the layers below it, so DT-k is
     the first k layers of the deepest cascade, and layer_predictions scores
     every prefix in one layered pass. The cascades of all depth budgets are
-    trained together by train_label_cascades, layer 1 being the grown T,
-    so the deepest DT model's deepest cell carries all their training and
-    every other cell 0.
+    trained together by train_label_cascades, layer 1 being the grown T.
     """
-    deepest_cascade = max(names)
-    deepest = max(depths)
-    start = time.perf_counter()
     cascades = train_label_cascades(
-        data.train_X, data.train_y, TrainConfig(seed=cfg.seed, cascade_depth=deepest_cascade),
+        data.train_X, data.train_y, TrainConfig(seed=cfg.seed, cascade_depth=max(names)),
         depths, first_layer=tree_grown,
     )
-    elapsed = time.perf_counter() - start
     rows: dict = {name: [] for name in names.values()}
     for depth, cascade in zip(depths, cascades):
         predictions = [
@@ -395,10 +407,7 @@ def _cascade_rows(cfg, subject, names, tree_grown, data, depths) -> dict:
         for k, name in names.items():
             accuracies = tuple(float(np.mean(labels[k - 1] == y)) for labels, y in predictions)
             rows[name].append(
-                _sim_row(
-                    cfg, subject, name, depth, int(leaves[k - 1]), int(dims[k - 1]),
-                    accuracies, elapsed if (k, depth) == (deepest_cascade, deepest) else 0.0,
-                )
+                _sim_row(cfg, subject, name, depth, int(leaves[k - 1]), int(dims[k - 1]), accuracies)
             )
     return rows
 
@@ -419,10 +428,9 @@ def run_simulation(cfg: ExperimentConfig) -> list:
     the layers below, so every shallower DT-k is its first k layers,
     scored in one layered pass.
 
-    Rows follow sim_models, then depth. wall_time: T's deepest cell carries
-    its growth plus scoring, the widest RF's deepest cell all forest
-    growth and scoring, and the deepest DT model's deepest cell all
-    cascade training; every other cell carries 0.
+    Rows follow sim_models, then depth. wall_time: the deepest cell of T,
+    of the widest RF and of the deepest DT carries its kind's training and
+    scoring (every RF width, every DT depth); every other cell carries 0.
     """
     depths = sorted(cfg.sim_depths)
     deepest = max(depths)
@@ -439,12 +447,10 @@ def run_simulation(cfg: ExperimentConfig) -> list:
         )
         start = time.perf_counter()
         tree_grown = train_tree_grown(data.train_X, data.train_y, tree_cfg)
-        tree_grow_time = time.perf_counter() - start
         by_model: dict = {}
         if names["T"]:
-            by_model.update(
-                _vote_rows(cfg, subject, names["T"], (tree_grown,), data, depths, tree_grow_time)
-            )
+            by_model.update(_vote_rows(cfg, subject, names["T"], (tree_grown,), data, depths))
+            _stamp(by_model[names["T"][1]][-1], start)
         if names["RF"]:
             forest_cfg = TrainConfig(
                 max_depth=deepest, seed=cfg.seed, n_trees=max(names["RF"]),
@@ -452,12 +458,12 @@ def run_simulation(cfg: ExperimentConfig) -> list:
             )
             start = time.perf_counter()
             members = train_forest_grown(data.train_X, data.train_y, forest_cfg)
-            grow_time = time.perf_counter() - start
-            by_model.update(
-                _vote_rows(cfg, subject, names["RF"], members, data, depths, grow_time)
-            )
+            by_model.update(_vote_rows(cfg, subject, names["RF"], members, data, depths))
+            _stamp(by_model[names["RF"][max(names["RF"])]][-1], start)
         if names["DT"]:
+            start = time.perf_counter()
             by_model.update(_cascade_rows(cfg, subject, names["DT"], tree_grown, data, depths))
+            _stamp(by_model[names["DT"][max(names["DT"])]][-1], start)
         for name in cfg.sim_models:
             rows += by_model[name]
     return rows
@@ -552,19 +558,11 @@ def run_gini_verification(cfg: ExperimentConfig) -> tuple[list, list]:
                 )
                 if layer >= 2 * n:
                     return
-                for side in ("left", "right"):
-                    child = list(region)
-                    if side == "left":
-                        child[feature - 1] = (lo, cut)
-                    else:
-                        child[feature - 1] = (cut + 1, hi)
-                    child_region = tuple(child)
-                    clo, chi = child_region[feature - 1]
-                    child_pending = feature if chi > clo else None
-                    trace(child_region, layer + 1, child_pending)
+                for child in split_region(region, feature - 1, cut):
+                    clo, chi = child[feature - 1]
+                    trace(child, layer + 1, feature if chi > clo else None)
 
-            full: Region = tuple((1, 4) for _ in range(n))
-            trace(full, 1, None)
+            trace(full_region(space), 1, None)
             reports.append(
                 {
                     "experiment": "gini",
@@ -600,20 +598,11 @@ def random_region_tree(space: LatticeSpace, rng, max_extra_splits: int):
             return Leaf(-1 if rng.random() < 0.5 else 1)
         j, lo, hi = splittable[int(rng.integers(len(splittable)))]
         cut = int(rng.integers(lo, hi))
-        left = list(region)
-        left[j] = (lo, cut)
-        right = list(region)
-        right[j] = (cut + 1, hi)
+        left, right = split_region(region, j, cut)
         left_budget = int(rng.integers(0, budget))
-        return Node(
-            j + 1,
-            float(cut),
-            build(tuple(left), left_budget),
-            build(tuple(right), budget - 1 - left_budget),
-        )
+        return Node(j + 1, float(cut), build(left, left_budget), build(right, budget - 1 - left_budget))
 
-    full: Region = tuple((1, space.p) for _ in range(space.n))
-    return build(full, max_extra_splits)
+    return build(full_region(space), max_extra_splits)
 
 
 def random_cart_tree(space: LatticeSpace, seed: int, index: int):
@@ -654,15 +643,11 @@ def perfect_parity_tree(space: LatticeSpace):
         for j, (lo, hi) in enumerate(region):
             if hi > lo:
                 cut = (lo + hi) // 2
-                left = list(region)
-                left[j] = (lo, cut)
-                right = list(region)
-                right[j] = (cut + 1, hi)
-                return Node(j + 1, float(cut), build(tuple(left)), build(tuple(right)))
-        point = [lo for lo, _ in region]
-        return Leaf(1 - 2 * (sum(point) & 1))
+                left, right = split_region(region, j, cut)
+                return Node(j + 1, float(cut), build(left), build(right))
+        return Leaf(parity_label([lo for lo, _ in region]))
 
-    return build(tuple((1, space.p) for _ in range(space.n)))
+    return build(full_region(space))
 
 
 def run_bounds_suite(cfg: ExperimentConfig) -> list:
@@ -774,19 +759,19 @@ def run_bounds_suite(cfg: ExperimentConfig) -> list:
 
 
 def _zero_error_trained_forest(space: LatticeSpace, seed: int) -> Optional[Forest]:
-    """Bagged forest trained on the replicated lattice; None when it misses zero risk."""
+    """Bagged forest trained on the replicated lattice; None when it is not
+    strictly-majority correct on every lattice point."""
     points = space.enumerate_points()
-    X = np.tile(points, (32, 1)).astype(np.float64)
-    y = np.tile(ParityConcept(space).labels(points), 32)
+    concept = ParityConcept(space)
     forest = train_forest(
-        X, y, TrainConfig(seed=seed, n_trees=9, bootstrap=True, feature_subsample="sqrt")
+        np.tile(points, (32, 1)).astype(np.float64), np.tile(concept.labels(points), 32),
+        TrainConfig(seed=seed, n_trees=9, bootstrap=True, feature_subsample="sqrt"),
     )
-    votes = forest.member_predictions(points.astype(np.float64))
-    truth = ParityConcept(space).labels(points)
-    correct = (votes == truth[None, :]).sum(axis=0)
-    if bool(np.all(correct * 2 > len(forest.trees))):
-        return forest
-    return None
+    try:
+        forest_zero_error_leafbound(forest, concept, space)
+    except PreconditionViolated:
+        return None
+    return forest
 
 
 # ---------------------------------------------------------------------------
@@ -794,9 +779,7 @@ def _zero_error_trained_forest(space: LatticeSpace, seed: int) -> Optional[Fores
 # ---------------------------------------------------------------------------
 
 
-def _uci_row(
-    cfg, subject, model_name, size, width, total_trees, leaves, dim, accuracies, elapsed
-) -> dict:
+def _uci_row(cfg, subject, model_name, size, width, total_trees, leaves, dim, accuracies) -> dict:
     train_acc, test_acc = accuracies
     return {
         "experiment": "uci",
@@ -809,7 +792,7 @@ def _uci_row(
         "dim": dim,
         "train_accuracy": train_acc,
         "test_accuracy": test_acc,
-        "wall_time": round(elapsed, 6),
+        "wall_time": 0.0,
         "seed": cfg.seed,
     }
 
@@ -817,7 +800,7 @@ def _uci_row(
 def run_uci(cfg: ExperimentConfig) -> list:
     """RF rows at every width prefix of one grown forest per tree size (the
     widest row carries growth and scoring, the others 0), and one DF-2 row
-    per cascade width."""
+    per cascade width, each carrying its training and scoring."""
     rows = []
     widest = max(cfg.uci_rf_widths)
     for name in cfg.uci_datasets:
@@ -834,13 +817,15 @@ def run_uci(cfg: ExperimentConfig) -> list:
                 grown, [[leaf_count(g)] for g in grown], _splits(data), cfg.uci_rf_widths,
                 (0,), lambda member, X: evaluate_batch(member, X)[None],
             )
-            elapsed = time.perf_counter() - start
+            rf_rows = []
             for width in cfg.uci_rf_widths:
                 leaves, dims, train_acc, test_acc = prefixes[width]
-                rows.append(_uci_row(
+                rf_rows.append(_uci_row(
                     cfg, name, "RF", size, width, width, int(leaves[0]), int(dims[0]),
-                    (train_acc[0], test_acc[0]), elapsed if width == widest else 0.0,
+                    (train_acc[0], test_acc[0]),
                 ))
+            _stamp(rf_rows[cfg.uci_rf_widths.index(widest)], start)
+            rows += rf_rows
             for width in cfg.uci_df_widths:
                 df_cfg = TrainConfig(
                     max_leaves=size, seed=cfg.seed, n_trees=width, bootstrap=True,
@@ -851,11 +836,10 @@ def run_uci(cfg: ExperimentConfig) -> list:
                 accuracies = tuple(
                     float(np.mean(cascade.predict_batch(X) == y)) for X, y in _splits(data)
                 )
-                elapsed = time.perf_counter() - start
-                rows.append(_uci_row(
+                rows.append(_stamp(_uci_row(
                     cfg, name, "DF-2", size, width, 2 * width, total_leaves(cascade),
-                    model_dim(cascade), accuracies, elapsed,
-                ))
+                    model_dim(cascade), accuracies,
+                ), start))
     return rows
 
 

@@ -220,7 +220,7 @@ class ProductDistribution(LatticeDistribution):
         self.space = space
         self.a = Fraction(a)
         if self.a <= 0:
-            raise ValueError("a must be positive")
+            raise ConfigError(f"a must be positive, got {a}")
 
     def __eq__(self, other):
         return (

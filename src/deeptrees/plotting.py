@@ -7,6 +7,7 @@ figures.
 """
 
 import math
+import sys
 
 from .data_io import make_dir, write_text
 from .errors import ConfigError, EmptyTable, MalformedRow
@@ -91,7 +92,11 @@ def line_chart(series, title, x_label, y_label, log_x=False) -> str:
         raise EmptyTable("no series to plot")
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
-    if any(isinstance(v, float) and not math.isfinite(v) for v in xs_all + ys_all):
+    try:
+        finite = all(math.isfinite(float(v)) for v in xs_all + ys_all)
+    except OverflowError:  # an integer past float range
+        finite = False
+    if not finite:
         raise ConfigError("plot points must be finite")
     if log_x:
         if min(xs_all) <= 0:
@@ -114,7 +119,7 @@ def line_chart(series, title, x_label, y_label, log_x=False) -> str:
     canvas.line(MARGIN_L, HEIGHT - MARGIN_B, WIDTH - MARGIN_R, HEIGHT - MARGIN_B)
     if log_x:
         lo_dec = math.floor(x_lo)
-        hi_dec = math.ceil(x_hi)
+        hi_dec = min(math.ceil(x_hi), sys.float_info.max_10_exp)  # 10.0**309 overflows
         ticks = [10.0**d for d in range(int(lo_dec), int(hi_dec) + 1)]
         for t in ticks:
             if x_lo <= math.log10(t) <= x_hi:
@@ -189,6 +194,10 @@ CHART_COLUMNS = {
 }
 
 
+# Accuracy charts: kind -> (x column, the columns whose values name a series).
+ACCURACY_CHARTS = {"sim": ("total_leaves", ("model",)), "uci": ("total_trees", ("model", "tree_size"))}
+
+
 def table_rows(text: str, kind) -> list:
     """Rows of a result table's CSV text, with the columns a chart of this
     kind reads converted. EmptyTable for no header; MalformedRow names the
@@ -221,23 +230,25 @@ def render_plots(rows, kind, out_dir) -> list:
     if not rows:
         raise EmptyTable("empty result table")
     charts = []  # (file name, svg)
-    if kind == "sim":
+    if kind in ACCURACY_CHARTS:
+        x_column, key_columns = ACCURACY_CHARTS[kind]
+        x_label = x_column.replace("_", " ")
         for subject in sorted({row["subject"] for row in rows}):
             sub = [r for r in rows if r["subject"] == subject]
             series = []
-            for model in sorted({r["model"] for r in sub}):
-                cells = [r for r in sub if r["model"] == model]
-                series.append(
-                    (model, [r["total_leaves"] for r in cells], [r["test_accuracy"] for r in cells])
-                )
+            # sorted by the key, not by its name: RF(8) comes before RF(16)
+            for key in sorted({tuple(r[c] for c in key_columns) for r in sub}):
+                cells = [r for r in sub if tuple(r[c] for c in key_columns) == key]
+                series.append((
+                    key[0] + "".join(f"({value})" for value in key[1:]),
+                    [r[x_column] for r in cells],
+                    [r["test_accuracy"] for r in cells],
+                ))
             svg = line_chart(
-                series,
-                f"test accuracy vs total leaves ({subject})",
-                "total leaves",
-                "test accuracy",
+                series, f"test accuracy vs {x_label} ({subject})", x_label, "test accuracy",
                 log_x=True,
             )
-            charts.append((f"sim_{_slug(subject)}.svg", svg))
+            charts.append((f"{kind}_{_slug(subject)}.svg", svg))
     elif kind == "gini":
         for subject, layer in sorted({(r["subject"], r["layer"]) for r in rows}):
             sub = [r for r in rows if r["subject"] == subject and r["layer"] == layer]
@@ -248,27 +259,6 @@ def render_plots(rows, kind, out_dir) -> list:
                 labels, values, f"impurity gain ({subject}, layer {layer})", "split", "gain"
             )
             charts.append((f"gini_{_slug(subject)}_layer{layer}.svg", svg))
-    elif kind == "uci":
-        for subject in sorted({row["subject"] for row in rows}):
-            sub = [r for r in rows if r["subject"] == subject]
-            series = []
-            for model, size in sorted({(r["model"], r["tree_size"]) for r in sub}):
-                cells = [r for r in sub if r["model"] == model and r["tree_size"] == size]
-                series.append(
-                    (
-                        f"{model}({size})",
-                        [r["total_trees"] for r in cells],
-                        [r["test_accuracy"] for r in cells],
-                    )
-                )
-            svg = line_chart(
-                series,
-                f"test accuracy vs total trees ({subject})",
-                "total trees",
-                "test accuracy",
-                log_x=True,
-            )
-            charts.append((f"uci_{_slug(subject)}.svg", svg))
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
     out_dir = make_dir(out_dir)

@@ -309,6 +309,20 @@ def region_size(bounds: Region) -> int:
     return size
 
 
+def full_region(space: LatticeSpace) -> Region:
+    """The whole lattice [p]^n as a box."""
+    return ((1, space.p),) * space.n
+
+
+def split_region(region: Region, j: int, cut: int) -> tuple[Region, Region]:
+    """The halves x <= cut and x > cut of a box along 0-based axis j, each
+    clamped to the box, so a cut below lo, or at or above hi, leaves one
+    half empty."""
+    lo, hi = region[j]
+    head, tail = region[:j], region[j + 1:]
+    return head + ((lo, min(hi, cut)),) + tail, head + ((max(lo, cut + 1), hi),) + tail
+
+
 def leaf_regions(tree: Tree, space: LatticeSpace, cut=threshold_cut) -> list[tuple[Region, int]]:
     """Per-leaf hyperrectangles of lattice points, in left-to-right order.
 
@@ -317,7 +331,7 @@ def leaf_regions(tree: Tree, space: LatticeSpace, cut=threshold_cut) -> list[tup
     maps a threshold to its integer cut; it may raise to reject one.
     """
     out: list[tuple[Region, int]] = []
-    stack = [(tree, ((1, space.p),) * space.n)]
+    stack = [(tree, full_region(space))]
     while stack:
         node, bounds = stack.pop()
         if isinstance(node, Leaf):
@@ -327,9 +341,6 @@ def leaf_regions(tree: Tree, space: LatticeSpace, cut=threshold_cut) -> list[tup
             raise FeatureOutOfRange(
                 f"tree reads feature {node.feature} but the lattice has n = {space.n}"
             )
-        j = node.feature - 1
-        lo, hi = bounds[j]
-        q = cut(node.threshold)
-        stack.append((node.right, bounds[:j] + ((max(lo, q + 1), hi),) + bounds[j + 1:]))
-        stack.append((node.left, bounds[:j] + ((lo, min(hi, q)),) + bounds[j + 1:]))
+        left, right = split_region(bounds, node.feature - 1, cut(node.threshold))
+        stack += ((node.right, right), (node.left, left))
     return out

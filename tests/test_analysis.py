@@ -31,6 +31,7 @@ from deeptrees.lattice import (
     UniformDistribution,
 )
 from deeptrees.rng import generator
+from deeptrees.sexpr import print_model
 from deeptrees.tree import Leaf
 
 from test_tree import PARITY_2x2, random_tree
@@ -215,6 +216,31 @@ def test_oracle_parity_2_cubed():
     quarter = tree_complexity_oracle(space, concept, dist, Fraction(1, 4), max_leaves=8)
     assert quarter.minimal_leaves == 5
     assert quarter.minimal_leaves >= space.size // 2
+
+
+# print_model of each witness, recorded when every split was spelled out
+# per call site
+ORACLE_WITNESSES = {
+    (2, Fraction(0)): "(node 1 1 (node 2 1 (leaf +1) (leaf -1)) (node 2 1 (leaf -1) (leaf +1)))",
+    (2, Fraction(1, 4)): "(node 1 1 (leaf -1) (node 2 1 (leaf -1) (leaf +1)))",
+    (3, Fraction(0)): (
+        "(node 1 1 (node 2 1 (node 3 1 (leaf -1) (leaf +1)) (node 3 1 (leaf +1) (leaf -1)))"
+        " (node 2 1 (node 3 1 (leaf +1) (leaf -1)) (node 3 1 (leaf -1) (leaf +1))))"
+    ),
+    (3, Fraction(1, 4)): (
+        "(node 1 1 (leaf -1) (node 2 1 (node 3 1 (leaf +1) (leaf -1))"
+        " (node 3 1 (leaf -1) (leaf +1))))"
+    ),
+}
+
+
+@pytest.mark.parametrize("n, epsilon", sorted(ORACLE_WITNESSES))
+def test_oracle_witness_text_is_pinned(n, epsilon):
+    space = LatticeSpace(n, 2)
+    result = tree_complexity_oracle(
+        space, ParityConcept(space), UniformDistribution(space), epsilon, max_leaves=8
+    )
+    assert print_model(result.witness) == ORACLE_WITNESSES[n, epsilon]
 
 
 def test_oracle_infeasible_budget():

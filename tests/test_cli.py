@@ -324,8 +324,15 @@ def test_output_directory_through_a_file_exits_with_error_line(tmp_path, capsys,
          "error: log axis requires positive x values, got 0"),
         ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,T,1,nan\nsim,n=2,T,3,0.7\n",
          "error: plot points must be finite"),
+        ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,T,3,0.5\nsim,n=2,T,%s,0.7\n"
+         % ("7" * 400), "error: plot points must be finite"),
+        ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,T,3,0.5\nsim,n=2,T,%s,0.7\n"
+         % ("2" + "0" * 308), "error: plot points must be finite"),
     ],
-    ids=["empty", "no-subject", "bad-cell", "wide-row", "zero-leaves", "nan-accuracy"],
+    ids=[
+        "empty", "no-subject", "bad-cell", "wide-row", "zero-leaves", "nan-accuracy",
+        "400-digit-leaves", "309-digit-leaves",
+    ],
 )
 def test_plot_rejects_malformed_table(tmp_path, capsys, text, message):
     table = tmp_path / "sim.csv"
@@ -360,3 +367,47 @@ def test_out_of_range_argument_exits_with_error_line(tmp_path, capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "Traceback" not in err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv"]
+
+
+def test_plot_ticks_stop_at_the_largest_float_decade(tmp_path, capsys):
+    # 10**308 still has a float value; a decade tick past it would not
+    table = tmp_path / "sim.csv"
+    table.write_text(
+        "experiment,subject,model,total_leaves,test_accuracy\n"
+        f"sim,n=2,T,1,0.5\nsim,n=2,T,{10**308},0.7\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
+        capsys, "plot", "--kind", "sim", "--table", str(table), "--out", str(tmp_path / "p")
+    )
+    assert (code, err) == (0, "")
+    svg = (tmp_path / "p" / "sim_n-2.svg").read_text(encoding="utf-8")
+    assert ">1e+308</text>" in svg and ">1e+300</text>" in svg
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build-parity", "--p", "0", "--n", "2", "--out", "m.sexp"),
+        ("complexity", "--p", "2", "--n", "2", "--max-leaves", "0"),
+        ("gen-data", "--n", "2", "--count", "10", "--a", "0", "--out", "sim"),
+        ("gini-map", "--p", "4", "--n", "2", "--dist", "product", "--a", "-1"),
+        ("complexity", "--p", "2", "--n", "2", "--epsilon", "abc"),
+        ("complexity", "--p", "2", "--n", "2", "--epsilon", "1/0"),
+        ("compile-tree", "--in", "cascade.sexp", "--p", "2", "--n", "1", "--out", "m.sexp"),
+        ("leafbound", "--model", "cascade.sexp", "--p", "2", "--n", "1"),
+    ],
+    ids=[
+        "build-parity-p", "complexity-max-leaves", "gen-data-a", "gini-map-a",
+        "epsilon-text", "epsilon-zero-denominator", "compile-tree-cascade", "leafbound-cascade",
+    ],
+)
+def test_bad_argument_or_model_kind_exits_with_error_line(tmp_path, capsys, argv):
+    (tmp_path / "cascade.sexp").write_text(
+        "(cascade (leaf -1) (node 1 1 (node 2 0 (leaf -1) (leaf +1)) (leaf +1)))\n", encoding="utf-8"
+    )
+    argv = [str(tmp_path / arg) if arg.endswith(".sexp") or arg == "sim" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cascade.sexp"]

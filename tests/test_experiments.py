@@ -105,8 +105,8 @@ def test_run_simulation_rows_and_determinism(tmp_path):
     assert len(rows) == 3 * 4
     assert {r["model"] for r in rows} == {"T", "DT-2", "RF-3"}
     for row in rows:
-        # T's and RF's deepest cells carry growth and all scoring, and the
-        # deepest DT's deepest cell the training of every depth's cascade
+        # the deepest cell of T, of the widest RF and of the deepest DT
+        # carries its block's training and scoring
         assert (row["wall_time"] > 0.0) == (row["setting"] == "depth=4")
     table_a = write_table(rows, SIM_COLUMNS, tmp_path / "a" / "sim.csv")
     rows_b = run_simulation(ExperimentConfig(**TINY_SIM, out_dir=tmp_path / "b"))
@@ -161,8 +161,8 @@ def test_run_simulation_prefix_digests_and_wall_time(tmp_path):
     cells = [dict(zip(header, line.split(","))) for line in table.splitlines()[1:]]
     for cell in cells:
         carries = float(cell["wall_time"]) > 0.0
-        # the widest RF's deepest cell carries all RF work, and the deepest
-        # DT's deepest cell the training of every depth's cascade
+        # one cell per block carries its training and scoring: the deepest
+        # cell of T, of the widest RF and of the deepest DT
         if cell["model"] in ("T", "RF-5", "DT-3"):
             assert carries == (cell["setting"] == "depth=3")
         else:
@@ -230,6 +230,18 @@ def test_bounds_suite_reduced_grid():
     } <= checks
 
 
+# SHA-256 of bounds.csv for a reduced corpus, recorded when every lattice box
+# and integer-cut split was spelled out per call site
+BOUNDS_DIGEST = "462a9cb9c26945326fa5f43b85c7171a10af31c5d54173bed56f62e5781765d1"
+
+
+def test_bounds_table_digest(tmp_path):
+    written = run_experiment(ExperimentConfig(
+        "bounds", seed=0, out_dir=tmp_path, bounds_compile_corpus=20, bounds_error_corpus=100,
+    ))
+    assert _sha256(written["table"].read_text(encoding="utf-8")) == BOUNDS_DIGEST
+
+
 def _toy_uci_manifest(tmp_path):
     rng = np.random.default_rng(7)
     source = tmp_path / "uci-src"
@@ -283,7 +295,7 @@ def test_run_uci_with_local_manifest(tmp_path, monkeypatch):
         "c13e394cf5d113ce71ff436be58a53c54b04a4fecf1070b57663e1408c0a6bfa"
     )
     for row in rows:
-        if row["model"] == "RF":  # the widest cell carries growth and all scoring
+        if row["model"] == "RF":  # the widest cell carries the block's growth and scoring
             assert (row["wall_time"] > 0.0) == (row["width"] == 8)
 
 

@@ -11,10 +11,12 @@ from deeptrees.tree import (
     dim_of,
     evaluate,
     evaluate_batch,
+    full_region,
     leaf_count,
     leaf_regions,
     max_feature,
     region_size,
+    split_region,
     threshold_cut,
     tree_labels,
     walk,
@@ -164,6 +166,27 @@ def test_leaf_regions_partition_random_trees():
                 values = evaluate_batch(tree, points[inside].astype(float))
                 assert set(values.tolist()) == {label}
         assert np.all(covered == 1)
+
+
+@pytest.mark.parametrize("cut", range(-1, 7))
+def test_split_region_halves_the_box(cut):
+    box = ((1, 4), (2, 5), (3, 3))
+    left, right = split_region(box, 1, cut)
+    assert left[::2] == right[::2] == box[::2]  # the other axes are untouched
+    assert region_size(left) + region_size(right) == region_size(box)
+    if 2 <= cut < 5:
+        assert (left[1], right[1]) == ((2, cut), (cut + 1, 5))
+    else:  # below lo, or at or above hi: one half is empty
+        assert sorted((region_size(left), region_size(right))) == [0, region_size(box)]
+
+
+@pytest.mark.parametrize("cut", [-3, 0, 4, 9])
+def test_split_region_matches_a_vacuous_split_of_leaf_regions(cut):
+    space = LatticeSpace(2, 4)
+    stump = Node(2, cut + 0.5, Leaf(-1), Leaf(+1))
+    halves = split_region(full_region(space), 1, cut)
+    assert [region for region, _ in leaf_regions(stump, space)] == list(halves)
+    assert region_size(halves[0 if cut < 1 else 1]) == 0
 
 
 def test_negative_feature_index_rejected():
