@@ -81,8 +81,8 @@ def _l1_offsets(n: int, r: int):
 
 def label_partition(space: LatticeSpace, concept: Concept, r: int = 1, cap: int = PARTITION_CAP) -> LabelPartition:
     """Connected components of the same-label, L1-distance <= r graph."""
-    if space.size > cap:
-        raise SpaceTooLarge(f"p^n = {space.size} exceeds cap {cap}")
+    if r < 1:
+        raise ConfigError(f"radius r must be >= 1, got {r}")
     points = space.enumerate_points(cap)
     labels = concept.labels(points)
     uf = _UnionFind(space.size)
@@ -150,8 +150,6 @@ class RiskReport:
 def risk_report(model, concept: Concept, dist: LatticeDistribution, space: LatticeSpace,
                 cap: int = PARTITION_CAP) -> RiskReport:
     """Exact misclassified mass of a model against a concept."""
-    if space.size > cap:
-        raise SpaceTooLarge(f"p^n = {space.size} exceeds cap {cap}")
     points = space.enumerate_points(cap)
     predictions = predict_batch(model, points.astype(np.float64))
     truth, weights = _region_grid(space, concept, dist, full_region(space))
@@ -177,11 +175,9 @@ class LeafBoundReport:
 def forest_zero_error_leafbound(forest: Forest, concept: Concept, space: LatticeSpace,
                                 cap: int = PARTITION_CAP) -> LeafBoundReport:
     """Check total leaves >= p^n for a forest that is strictly-majority correct everywhere."""
-    if space.size > cap:
-        raise SpaceTooLarge(f"p^n = {space.size} exceeds cap {cap}")
-    points = space.enumerate_points(cap).astype(np.float64)
-    votes = forest.member_predictions(points)
-    truth = concept.labels(space.enumerate_points(cap))
+    points = space.enumerate_points(cap)
+    votes = forest.member_predictions(points.astype(np.float64))
+    truth = concept.labels(points)
     correct_votes = (votes == truth[None, :]).sum(axis=0)
     if not bool(np.all(correct_votes * 2 > len(forest.trees))):
         raise PreconditionViolated(

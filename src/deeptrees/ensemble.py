@@ -206,30 +206,28 @@ class CascadeForest:
         return self.layers[-1]._majority(row)
 
 
+def model_trees(model) -> list:
+    """Every tree of a model in order: a tree itself, a forest's members, a
+    deep tree's layers, or each cascade-forest layer's members."""
+    if isinstance(model, (Leaf, Node)):
+        return [model]
+    if isinstance(model, Forest):
+        return list(model.trees)
+    if isinstance(model, DeepTree):
+        return list(model.layers)
+    if isinstance(model, CascadeForest):
+        return [tree for layer in model.layers for tree in layer.trees]
+    raise TypeError(f"not a model: {type(model).__name__}")
+
+
 def model_dim(model) -> int:
     """Total parameter count; additive over ensemble members and layers."""
-    if isinstance(model, (Leaf, Node)):
-        return dim_of(model)
-    if isinstance(model, Forest):
-        return sum(dim_of(t) for t in model.trees)
-    if isinstance(model, DeepTree):
-        return sum(dim_of(t) for t in model.layers)
-    if isinstance(model, CascadeForest):
-        return sum(model_dim(layer) for layer in model.layers)
-    raise TypeError(f"not a model: {type(model).__name__}")
+    return sum(dim_of(tree) for tree in model_trees(model))
 
 
 def total_leaves(model) -> int:
     """Summed leaf count over every tree in the model."""
-    if isinstance(model, (Leaf, Node)):
-        return leaf_count(model)
-    if isinstance(model, Forest):
-        return sum(leaf_count(t) for t in model.trees)
-    if isinstance(model, DeepTree):
-        return sum(leaf_count(t) for t in model.layers)
-    if isinstance(model, CascadeForest):
-        return sum(total_leaves(layer) for layer in model.layers)
-    raise TypeError(f"not a model: {type(model).__name__}")
+    return sum(leaf_count(tree) for tree in model_trees(model))
 
 
 def predict_batch(model, X) -> np.ndarray:

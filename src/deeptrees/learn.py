@@ -38,8 +38,10 @@ tree.depth_labels scores every depth budget of a grown tree in one walk.
 Label cascades use truncation across depth budgets: at each layer,
 budgets whose input (the raw rows plus the layer below's training
 predictions) is the same form a group, the group grows one member at its
-largest budget, and its smaller budgets take truncations of it. Growth,
-assembly and truncation use explicit stacks or loops, so no depth is too
+largest budget, and its smaller budgets take truncations of it.
+Depth-first growth, best-first growth and truncation all build their
+trees in one assembler, from per-level records of each node's majority
+and split; growth and truncation loop over levels, so no depth is too
 deep to train.
 """
 
@@ -83,40 +85,51 @@ class TrainConfig:
             raise ConfigError(f"unknown augment_mode {self.augment_mode!r}")
 
 
-def _assemble(majority: dict, splits: dict) -> Tree:
-    """Tree from records keyed by node id (root 1, children 2i and 2i + 1):
-    majority[i] for every node, splits[i] = (feature, threshold, order) for
-    those that split. Children are recorded after their parent, so reverse
-    record order builds every child before its parent."""
-    built = {}
-    for node_id in reversed(majority):
-        split = splits.get(node_id)
-        if split is None:
-            built[node_id] = Leaf(majority[node_id])
-        else:
-            feature, threshold, order = split
-            left = built.pop(2 * node_id)
-            right = built.pop(2 * node_id + 1)
-            built[node_id] = Node(feature, threshold, left, right, majority[node_id], order)
-    return built[1]
+def _assemble(levels) -> list:
+    """The trees whose roots are level 0's nodes, from per-level records.
+
+    levels[d] = (labels, splits) over the nodes at depth d, left to right:
+    each node's majority, and (j, feature, threshold, order) for each node
+    j that splits, in ascending j. Level d's s-th split has level d + 1's
+    nodes 2s and 2s + 1 as children. Only best-first growth records an
+    order; depth-first splits carry None.
+    """
+    built: list = []
+    for labels, splits in reversed(levels):
+        nodes = [Leaf(label) for label in labels]
+        for s, (j, feature, threshold, order) in enumerate(splits):
+            nodes[j] = Node(feature, threshold, built[2 * s], built[2 * s + 1], labels[j], order)
+        built = nodes
+    return built
+
+
+def _levels_by_id(majority: dict, splits: dict) -> list:
+    """Level records of a tree recorded by node id (root 1, children 2i and
+    2i + 1): majority[i] for every node, splits[i] = (feature, threshold,
+    order) for those that split."""
+    levels, ids = [], [1]
+    while ids:
+        split = [(j, *splits[i]) for j, i in enumerate(ids) if i in splits]
+        levels.append(([majority[i] for i in ids], split))
+        ids = [child for j, *_ in split for child in (2 * ids[j], 2 * ids[j] + 1)]
+    return levels
 
 
 def _prune(grown: Tree, keep) -> Tree:
     """Copy of a grown tree that keeps the splits keep(node, depth) accepts
-    and collapses every other split to a leaf of its majority."""
-    majority: dict = {}
-    splits: dict = {}
-    stack = [(grown, 0, 1)]
-    while stack:
-        node, depth, node_id = stack.pop()
-        if isinstance(node, Leaf):
-            majority[node_id] = node.label
-            continue
-        majority[node_id] = node.majority
-        if keep(node, depth):
-            splits[node_id] = (node.feature, node.threshold, node.order)
-            stack += ((node.right, depth + 1, 2 * node_id + 1), (node.left, depth + 1, 2 * node_id))
-    return _assemble(majority, splits)
+    and collapses every other split to a leaf of its majority, built level
+    by level."""
+    levels, nodes, depth = [], [grown], 0
+    while nodes:
+        labels = [node.label if isinstance(node, Leaf) else node.majority for node in nodes]
+        splits = [
+            (j, node.feature, node.threshold, node.order)
+            for j, node in enumerate(nodes) if isinstance(node, Node) and keep(node, depth)
+        ]
+        levels.append((labels, splits))
+        nodes = [child for j, *_ in splits for child in (nodes[j].left, nodes[j].right)]
+        depth += 1
+    return _assemble(levels)[0]
 
 
 def truncate_depth(grown: Tree, max_depth: int) -> Tree:
@@ -274,25 +287,6 @@ def _checked_labels(y) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def _assemble_levels(levels) -> list:
-    """The batch's trees, one per node of level 0, from per-level records.
-
-    levels[d] = (labels, split, feature, threshold) over level d's
-    frontier: each node's majority, the indices of the nodes that split,
-    and their splits. Level d's s-th split has level d + 1's nodes 2s and
-    2s + 1 as children. Splits carry no order, which only best-first
-    growth records.
-    """
-    built: list = []
-    for labels, split, feature, threshold in reversed(levels):
-        labels = labels.tolist()
-        nodes = [Leaf(label) for label in labels]
-        for s, (j, f, t) in enumerate(zip(split.tolist(), feature.tolist(), threshold.tolist())):
-            nodes[j] = Node(f, t, built[2 * s], built[2 * s + 1], labels[j])
-        built = nodes
-    return built
-
-
 class _Grower:
     """Batches of trees grown on the same training matrix.
 
@@ -392,7 +386,8 @@ class _Grower:
         depth = 0
         while ids:
             labels, split, _, feature, threshold = self._admit(tree, ids, start, size, counts, depth)
-            levels.append((labels, split, feature, threshold))
+            splits = zip(split.tolist(), feature.tolist(), threshold.tolist())
+            levels.append((labels.tolist(), [(j, f, t, None) for j, f, t in splits]))
             start, size, tree = start[split], size[split], tree[split]
             left, right = self._partition(start, size, tree, feature, threshold)
             left_size = left.sum(axis=1)
@@ -403,7 +398,7 @@ class _Grower:
             tree = tree.repeat(2)
             ids = [child for j in split.tolist() for child in (2 * ids[j], 2 * ids[j] + 1)]
             depth += 1
-        return _assemble_levels(levels)
+        return _assemble(levels)
 
     def _grow_best_first(self, t, start, size, counts) -> Tree:
         """Member t, each admitted node's best split on a gain heap; the
@@ -425,7 +420,7 @@ class _Grower:
                     entry = (node_id, depth, start[j : j + 1], size[j : j + 1], *chosen[j])
                     heapq.heappush(frontier, (-entry[4], sequence, entry))
             if not frontier or len(splits) + 1 >= self.cfg.max_leaves:
-                return _assemble(majority, splits)
+                return _assemble(_levels_by_id(majority, splits))[0]
             node_id, depth, start, size, _, feature, threshold = heapq.heappop(frontier)[2]
             splits[node_id] = (feature, threshold, len(splits))
             left, right = self._partition(start, size, t, np.array([feature]), np.array([threshold]))

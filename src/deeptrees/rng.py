@@ -20,6 +20,8 @@ import hashlib
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .errors import ConfigError
+
 
 def _tag_words(tag) -> tuple[int, ...]:
     if isinstance(tag, (int, np.integer)):
@@ -40,6 +42,8 @@ def _tag_words(tag) -> tuple[int, ...]:
 
 def seed_sequence(master_seed: int, *tags) -> np.random.SeedSequence:
     """Deterministic SeedSequence for (master seed, purpose tags)."""
+    if master_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {master_seed}")
     key: list[int] = []
     for tag in tags:
         key.extend(_tag_words(tag))

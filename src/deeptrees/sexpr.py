@@ -12,6 +12,7 @@ stacks, so any nesting depth parses and prints.
 """
 
 import math
+import re
 
 from .ensemble import CascadeForest, DeepTree, Forest
 from .errors import ArityError, LabelDomainError, ModelSyntaxError
@@ -27,31 +28,19 @@ class _Token:
         self.column = column
 
 
+# a parenthesis, or a run of anything but whitespace and parentheses; for
+# str patterns \s matches exactly the characters str.isspace() accepts
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-        elif ch.isspace():
-            column += 1
-            i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line, column))
-            column += 1
-            i += 1
-        else:
-            start = i
-            start_col = column
-            while i < len(text) and not text[i].isspace() and text[i] not in "()":
-                i += 1
-                column += 1
-            tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
+    """Tokens with their 1-based line and column; only "\n" ends a line,
+    and any other whitespace character is one column."""
+    return [
+        _Token(match.group(), line, match.start() + 1)
+        for line, row in enumerate(text.split("\n"), start=1)
+        for match in _TOKEN.finditer(row)
+    ]
 
 
 class _Form:

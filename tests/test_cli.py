@@ -396,10 +396,13 @@ def test_plot_ticks_stop_at_the_largest_float_decade(tmp_path, capsys):
         ("complexity", "--p", "2", "--n", "2", "--epsilon", "1/0"),
         ("compile-tree", "--in", "cascade.sexp", "--p", "2", "--n", "1", "--out", "m.sexp"),
         ("leafbound", "--model", "cascade.sexp", "--p", "2", "--n", "1"),
+        ("partition", "--p", "2", "--n", "2", "--concept", "constant", "--r", "0"),
+        ("partition", "--p", "2", "--n", "2", "--r", "-1"),
     ],
     ids=[
         "build-parity-p", "complexity-max-leaves", "gen-data-a", "gini-map-a",
         "epsilon-text", "epsilon-zero-denominator", "compile-tree-cascade", "leafbound-cascade",
+        "partition-r-zero", "partition-r-negative",
     ],
 )
 def test_bad_argument_or_model_kind_exits_with_error_line(tmp_path, capsys, argv):
@@ -411,3 +414,21 @@ def test_bad_argument_or_model_kind_exits_with_error_line(tmp_path, capsys, argv
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "Traceback" not in err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["cascade.sexp"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen-data", "--n", "2", "--count", "10", "--seed", "-1", "--out", "sim"),
+        ("train", "--model", "tree", "--seed", "-1", "--data", "data.csv", "--out", "m.sexp"),
+        ("experiment", "bounds", "--seed", "-1", "--out", "results"),
+    ],
+    ids=["gen-data", "train", "experiment"],
+)
+def test_negative_seed_exits_with_error_line(tmp_path, capsys, argv):
+    (tmp_path / "data.csv").write_text("f1,label\n1.0,1\n2.0,-1\n", encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in ("sim", "data.csv", "m.sexp", "results") else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["data.csv"]

@@ -11,6 +11,7 @@ from deeptrees.ensemble import (
     Forest,
     SizeBudget,
     model_dim,
+    model_trees,
     predict_batch,
     resolve_votes,
     total_leaves,
@@ -180,6 +181,12 @@ def test_dim_additivity():
 def test_total_leaves():
     assert total_leaves(Forest((PARITY_2x2, Leaf(1)))) == 5
     assert total_leaves(DeepTree((Leaf(1), PARITY_2x2))) == 5
+    cascade = CascadeForest((Forest((Leaf(1), PARITY_2x2)), Forest((Leaf(-1),))), (-1, 1))
+    assert model_trees(cascade) == [Leaf(1), PARITY_2x2, Leaf(-1)]
+    assert (total_leaves(cascade), model_dim(cascade)) == (6, 12)
+    for count in (model_trees, model_dim, total_leaves):
+        with pytest.raises(TypeError):
+            count([PARITY_2x2])
 
 
 def test_size_budget():

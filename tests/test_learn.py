@@ -7,7 +7,14 @@ import pytest
 
 from deeptrees import learn
 from deeptrees.data_io import SimulationSpec, generate_simulation
-from deeptrees.ensemble import CascadeForest, DeepTree, model_dim, predict_batch, total_leaves
+from deeptrees.ensemble import (
+    CascadeForest,
+    DeepTree,
+    model_dim,
+    model_trees,
+    predict_batch,
+    total_leaves,
+)
 from deeptrees.errors import (
     DeepTreesError,
     EmptyDataset,
@@ -127,6 +134,30 @@ def test_truncate_depth_equals_retraining_with_subsampling():
         cfg_d = TrainConfig(max_depth=depth, seed=3, n_trees=3, bootstrap=True, feature_subsample="sqrt")
         direct = train_forest_grown(X, y, cfg_d)
         assert [truncate_depth(g, depth) for g in grown] == direct
+
+
+def test_truncation_keeps_majority_and_order():
+    """Truncation equals retraining also in what == ignores: every split's
+    majority and best-first order. Truncating twice equals truncating once."""
+    X, y = random_data(23, rows=240, cols=5, classes=(-1, 0, 2))
+    sqrt_forest = TrainConfig(seed=5, n_trees=3, feature_subsample="sqrt")
+    growers = (
+        lambda **budget: [train_tree_grown(X, y, replace(PLAIN, **budget))],
+        lambda **budget: train_forest_grown(X, y, replace(sqrt_forest, **budget)),
+    )
+    for grow in growers:
+        grown = grow(max_depth=8)
+        by_depth = [[truncate_depth(g, b) for g in grown] for b in range(9)]
+        for b, truncated in enumerate(by_depth):
+            assert_same_growth(truncated, grow(max_depth=b))
+            if b < 8:
+                assert_same_growth([truncate_depth(g, b) for g in by_depth[b + 1]], truncated)
+        grown = grow(max_leaves=24)
+        by_leaves = [[truncate_leaves(g, L) for g in grown] for L in range(1, 25)]
+        for L, truncated in enumerate(by_leaves, start=1):
+            assert_same_growth(truncated, grow(max_leaves=L))
+            if L < 24:
+                assert_same_growth([truncate_leaves(g, L) for g in by_leaves[L]], truncated)
 
 
 def _grown_corpus(seed):
@@ -446,13 +477,6 @@ def test_label_cascades_with_a_leaf_budget():
         train_label_cascades(X, y, cfg, [2, 3])
 
 
-def _trees(model):
-    if isinstance(model, (Leaf, Node)):
-        return [model]
-    members = getattr(model, "trees", None) or model.layers
-    return [tree for member in members for tree in _trees(member)]
-
-
 def test_trained_thresholds_are_python_floats():
     X, y = random_data(31, rows=200, cols=4, classes=(0, 1, 2))
     models = [
@@ -465,7 +489,7 @@ def test_trained_thresholds_are_python_floats():
         ),
     ]
     for model in models:
-        nodes = [node for tree in _trees(model) for node, _ in walk(tree) if isinstance(node, Node)]
+        nodes = [node for tree in model_trees(model) for node, _ in walk(tree) if isinstance(node, Node)]
         assert nodes
         assert all(type(node.threshold) is float for node in nodes)
         assert "np.float64" not in repr(nodes[0])
@@ -617,7 +641,7 @@ def reference_grow(X, y, cfg, rows, tree_seed):
         children = [(idx[go_left], 2 * node_id), (idx[~go_left], 2 * node_id + 1)]
         for child_idx, child_id in (children if best_first else reversed(children)):
             admit(child_idx, depth + 1, child_id)
-    return learn._assemble(majority, splits)
+    return learn._assemble(learn._levels_by_id(majority, splits))[0]
 
 
 class ReferenceGrower:
@@ -675,7 +699,7 @@ def grown_by_every_entry_point(X, y, seed):
             TrainConfig(max_depth=3, seed=seed, n_trees=3, cascade_depth=2, augment_mode="classvector"),
         ),
     ]
-    return [tree for model in models for tree in _trees(model)]
+    return [tree for model in models for tree in model_trees(model)]
 
 
 def assert_same_growth(mine, reference):

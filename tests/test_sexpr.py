@@ -171,3 +171,11 @@ def test_non_finite_threshold_rejected_at_its_token(token):
     with pytest.raises(ModelSyntaxError) as err:
         parse_model(f"(cascade (leaf -1)\n  (node 2 0.5 (leaf +1)\n    (node 1 {token} (leaf +1) (leaf -1))))")
     assert (err.value.line, err.value.column) == (3, 13)
+    # a tab or a non-ASCII space is one column; only "\n" ends a line
+    for space in ("\t", "\u00a0", "\u3000", "\u2028"):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(f"(node{space}1{space}{token} (leaf +1) (leaf -1))")
+        assert (err.value.line, err.value.column) == (1, 9)
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(f"(cascade (leaf -1)\r\n  (node 2 0.5 (leaf +1)\r\n\t\u3000  (node 1 {token} (leaf +1) (leaf -1))))")
+    assert (err.value.line, err.value.column) == (3, 13)
