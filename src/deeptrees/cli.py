@@ -26,6 +26,7 @@ from .data_io import (
     SimulationSpec,
     default_cache_dir,
     fetch_dataset,
+    format_table,
     generate_simulation,
     make_dir,
     read_csv,
@@ -168,33 +169,29 @@ def cmd_train(args):
 def cmd_eval(args):
     model = _read_model(args.model)
     X, y, _ = read_csv(args.data)
-    _emit(
-        [
-            "accuracy,total_leaves,dim",
-            f"{accuracy(model, X, y)!r},{total_leaves(model)},{model_dim(model)}",
-        ]
-    )
+    sys.stdout.write(format_table(
+        ("accuracy", "total_leaves", "dim"),
+        [(accuracy(model, X, y), total_leaves(model), model_dim(model))],
+    ))
 
 
 def cmd_partition(args):
     space = LatticeSpace(args.n, args.p)
     part = label_partition(space, _make_concept(args, space), r=args.r)
-    lines = ["class,label,size"]
-    for ci, (members, label) in enumerate(zip(part.classes, part.labels)):
-        lines.append(f"{ci},{label},{len(members)}")
-    _emit(lines)
+    sys.stdout.write(format_table(
+        ("class", "label", "size"),
+        [(ci, label, len(members)) for ci, (members, label) in enumerate(zip(part.classes, part.labels))],
+    ))
 
 
 def cmd_risk(args):
     space = LatticeSpace(args.n, args.p)
     model = _read_model(args.model)
     report = risk_report(model, _make_concept(args, space), _make_dist(args, space), space)
-    _emit(
-        [
-            "error_set_size,proper_set_size,exact_risk,leaf_count",
-            f"{report.error_set_size},{report.proper_set_size},{report.exact_risk},{report.leaf_count}",
-        ]
-    )
+    sys.stdout.write(format_table(
+        ("error_set_size", "proper_set_size", "exact_risk", "leaf_count"),
+        [(report.error_set_size, report.proper_set_size, report.exact_risk, report.leaf_count)],
+    ))
 
 
 def cmd_complexity(args):
@@ -206,23 +203,17 @@ def cmd_complexity(args):
         args.epsilon,
         args.max_leaves,
     )
-    lines = [
-        "family,epsilon,minimal_leaves,minimal_dim,achieved_risk,search_exhaustive,states",
-        ",".join(
-            [
-                result.family,
-                str(result.epsilon),
-                "" if result.minimal_leaves is None else str(result.minimal_leaves),
-                "" if result.minimal_dim is None else str(result.minimal_dim),
-                "" if result.achieved_risk is None else str(result.achieved_risk),
-                "true" if result.search_exhaustive else "false",
-                str(result.states_explored),
-            ]
-        ),
-    ]
+    rows = [(
+        result.family, result.epsilon, result.minimal_leaves, result.minimal_dim,
+        result.achieved_risk, result.search_exhaustive, result.states_explored,
+    )]
     if result.witness is not None:
-        lines.append("witness," + print_model(result.witness))
-    _emit(lines)
+        rows.append(("witness", print_model(result.witness)))
+    sys.stdout.write(format_table(
+        ("family", "epsilon", "minimal_leaves", "minimal_dim", "achieved_risk",
+         "search_exhaustive", "states"),
+        rows,
+    ))
 
 
 def cmd_leafbound(args):
@@ -231,36 +222,25 @@ def cmd_leafbound(args):
     if not isinstance(model, Forest):
         model = Forest((model,))
     report = forest_zero_error_leafbound(model, ParityConcept(space), space)
-    _emit(
-        [
-            "total_leaf_count,space_size,holds",
-            f"{report.total_leaf_count},{report.space_size},{'true' if report.holds else 'false'}",
-        ]
-    )
+    sys.stdout.write(format_table(
+        ("total_leaf_count", "space_size", "holds"),
+        [(report.total_leaf_count, report.space_size, report.holds)],
+    ))
 
 
 def cmd_gini_map(args):
     space = LatticeSpace(args.n, args.p)
     gm = gini_gain_map(space, _make_dist(args, space), _make_concept(args, space))
-    lines = ["feature,cut,gain,exact_gain"]
-    rows = []
-    for (feature, cut), gain in sorted(gm.gains.items()):
-        lines.append(f"{feature},{cut},{float(gain)!r},{gain}")
-        rows.append(
-            {
-                "subject": f"p={args.p},n={args.n},{args.dist}",
-                "layer": 1,
-                "feature": feature,
-                "cut": cut,
-                "gain": float(gain),
-            }
-        )
+    table = [(feature, cut, float(gain), gain) for (feature, cut), gain in sorted(gm.gains.items())]
+    chart = [
+        {"subject": f"p={args.p},n={args.n},{args.dist}", "layer": 1, "feature": f, "cut": c, "gain": g}
+        for f, c, g, _ in table
+    ]
     if gm.best is not None:
-        lines.append(f"best,{gm.best[0]},{gm.best[1]},")
+        table.append(("best", *gm.best, None))
     if args.svg:
-        for path in render_plots(rows, "gini", Path(args.svg)):
-            lines.append(f"wrote,{path}")
-    _emit(lines)
+        table.extend(("wrote", path) for path in render_plots(chart, "gini", Path(args.svg)))
+    sys.stdout.write(format_table(("feature", "cut", "gain", "exact_gain"), table))
 
 
 def cmd_experiment(args):

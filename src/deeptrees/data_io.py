@@ -1,10 +1,13 @@
-"""Synthetic dataset generation, CSV round-trips, and benchmark fetching.
+"""Synthetic dataset generation, the table text format, CSV round-trips,
+and benchmark fetching.
 
 Synthetic rows are noisy lattice samples: a point drawn from the lattice
 distribution plus uniform noise in [-0.5, 0.5)^n, labeled by the parity
 of the underlying lattice point (equivalently, of the nearest lattice
-point, since the noise never reaches magnitude 0.5). CSV files are
-written with 17 significant digits so round-trips are bit-exact.
+point, since the noise never reaches magnitude 0.5). Every table is
+written by format_table and read by table_lines; feature CSV files are
+written by write_csv, with 17 significant digits so round-trips are
+bit-exact.
 """
 
 import hashlib
@@ -158,6 +161,43 @@ def make_dir(path) -> Path:
     return Path(path)
 
 
+def format_cell(value) -> str:
+    """A table cell: true or false for a bool, repr for a float, empty for
+    None, str otherwise. Cells are not quoted."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if value is None:
+        return ""
+    return str(value)
+
+
+def format_table(columns, rows) -> str:
+    """A header line of column names, then a line of cells per row; every
+    line ends in a newline."""
+    return "".join(",".join(map(format_cell, cells)) + "\n" for cells in (columns, *rows))
+
+
+def table_lines(text: str, separator: Optional[str] = ",", skip_lines: int = 0):
+    """Yields (file line number, fields) for each non-blank line of a
+    table's text after its first skip_lines lines; separator None splits on
+    whitespace."""
+    for line_no, line in enumerate(text.splitlines()[skip_lines:], start=skip_lines + 1):
+        if line.strip():
+            yield line_no, line.split(separator)
+
+
+def check_widths(lines, width: int, where: str = ""):
+    """The (line number, fields) pairs of lines, passed on in order;
+    MalformedRow at the file line of the first that does not hold width
+    fields."""
+    for line_no, fields in lines:
+        if len(fields) != width:
+            raise MalformedRow(f"{where}expected {width} fields, got {len(fields)}", line_no)
+        yield line_no, fields
+
+
 def write_csv(X, y, path, feature_names=None):
     """Header row of feature names plus "label"; floats at 17 significant digits."""
     X = np.asarray(X, dtype=np.float64)
@@ -186,30 +226,24 @@ def read_csv(path):
 
     Errors carry the file's own line number; blank lines are skipped.
     """
-    text = read_text(path)
-    lines = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
-    if not lines:
+    lines = table_lines(read_text(path))
+    header_no, header = next(lines, (None, None))
+    if header is None:
         raise EmptyDataset(f"{path} holds no rows")
-    header_no, header_line = lines[0]
-    header = header_line.split(",")
     if header[-1] != "label":
         raise MalformedRow("header must end with 'label'", header_no)
-    width = len(header) - 1
-    rows = []
-    labels = []
-    for line_no, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != width + 1:
-            raise MalformedRow(f"expected {width + 1} fields, got {len(parts)}", line_no)
+    rows, labels, line_nos = [], [], []
+    for line_no, fields in check_widths(lines, len(header)):
         try:
-            rows.append([float(v) for v in parts[:-1]])
-            labels.append(int(parts[-1]))
+            rows.append([float(v) for v in fields[:-1]])
+            labels.append(int(fields[-1]))
         except ValueError as exc:
             raise MalformedRow(str(exc), line_no) from None
+        line_nos.append(line_no)
     if not rows:
         raise EmptyDataset(f"{path} holds no data rows")
     X = np.array(rows, dtype=np.float64)
-    _require_finite(X, [line_no for line_no, _ in lines[1:]])
+    _require_finite(X, line_nos)
     return X, np.array(labels, dtype=np.int64), header[:-1]
 
 
@@ -317,24 +351,16 @@ def _ensure_file(source: SourceFile, dataset_dir: Path, offline: bool) -> Path:
 
 
 def _parse_rows(path: Path, manifest: DatasetManifest):
-    rows = []
-    raw_labels = []
-    line_nos = []
-    lines = read_text(path).splitlines()
-    for line_no, line in enumerate(lines, start=1):
-        if line_no <= manifest.skip_lines or not line.strip():
-            continue
-        parts = line.split(manifest.separator)
-        parts = [p.strip() for p in parts if p.strip() != ""]
-        if len(parts) != manifest.n_features + 1:
-            raise MalformedRow(
-                f"{path.name}: expected {manifest.n_features + 1} fields, got {len(parts)}",
-                line_no,
-            )
+    lines = (
+        (line_no, [field.strip() for field in fields if field.strip()])
+        for line_no, fields in table_lines(read_text(path), manifest.separator, manifest.skip_lines)
+    )
+    rows, raw_labels, line_nos = [], [], []
+    for line_no, fields in check_widths(lines, manifest.n_features + 1, f"{path.name}: "):
         if manifest.label_position == "first":
-            label, values = parts[0], parts[1:]
+            label, values = fields[0], fields[1:]
         else:
-            label, values = parts[-1], parts[:-1]
+            label, values = fields[-1], fields[:-1]
         try:
             rows.append([float(v) for v in values])
         except ValueError as exc:

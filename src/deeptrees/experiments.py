@@ -26,10 +26,12 @@ from .data_io import (
     BUILTIN_MANIFESTS,
     SimulationSpec,
     fetch_dataset,
+    format_table,
     generate_simulation,
     make_dir,
     read_text,
     split_sizes,
+    table_lines,
     write_text,
 )
 from .ensemble import (
@@ -57,7 +59,7 @@ from .learn import (
     train_tree,
     train_tree_grown,
 )
-from .rng import generator
+from .rng import generator, seed_sequence
 from .tree import (
     Leaf,
     Node,
@@ -137,6 +139,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment id {self.experiment!r}")
         if self.scale not in ("desk", "paper"):
             raise ConfigError(f"unknown scale {self.scale!r}")
+        seed_sequence(self.seed)  # a negative seed fails here, before any output directory
         for grid_name in (
             "sim_ns", "sim_models", "sim_depths", "gini_ns", "gini_a_values",
             "uci_datasets", "uci_rf_widths", "uci_df_widths", "uci_tree_sizes",
@@ -257,35 +260,22 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
-
-
 def write_table(rows, columns, path):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(c)) for c in columns))
     path = Path(path)
     make_dir(path.parent)
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, format_table(columns, ([row.get(c) for c in columns] for row in rows)))
     return path
 
 
 def strip_wall_time(csv_text: str) -> str:
     """The determinism contract ignores the wall-time column."""
-    lines = csv_text.splitlines()
-    header = lines[0].split(",")
-    if "wall_time" not in header:
+    lines = list(table_lines(csv_text))
+    if not lines or "wall_time" not in lines[0][1]:
         return csv_text
-    drop = header.index("wall_time")
-    kept = [",".join(v for i, v in enumerate(line.split(",")) if i != drop) for line in lines]
-    return "\n".join(kept)
+    drop = lines[0][1].index("wall_time")
+    kept = [[v for i, v in enumerate(fields) if i != drop] for _, fields in lines]
+    # no final newline: the pinned sim digests hash the text this way
+    return format_table(kept[0], kept[1:])[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import CascadeForest, DeepTree, Forest, predict_batch
-from .errors import ConfigError, EmptyDataset, NonFiniteFeature, NonIntegralLabel
+from .errors import ConfigError, EmptyDataset, NonFiniteFeature, NonIntegralLabel, PreconditionViolated
 from .rng import generator, permutations, seed_sequence
 from .tree import Leaf, Node, Tree, evaluate_batch, walk
 
@@ -118,7 +118,8 @@ def _levels_by_id(majority: dict, splits: dict) -> list:
 def _prune(grown: Tree, keep) -> Tree:
     """Copy of a grown tree that keeps the splits keep(node, depth) accepts
     and collapses every other split to a leaf of its majority, built level
-    by level."""
+    by level. PreconditionViolated when a split to collapse records no
+    majority, as in a parsed or constructed tree."""
     levels, nodes, depth = [], [grown], 0
     while nodes:
         labels = [node.label if isinstance(node, Leaf) else node.majority for node in nodes]
@@ -126,6 +127,9 @@ def _prune(grown: Tree, keep) -> Tree:
             (j, node.feature, node.threshold, node.order)
             for j, node in enumerate(nodes) if isinstance(node, Node) and keep(node, depth)
         ]
+        kept = {j for j, *_ in splits}
+        if any(label is None for j, label in enumerate(labels) if j not in kept):
+            raise PreconditionViolated("truncation needs a trained tree: a split records no majority")
         levels.append((labels, splits))
         nodes = [child for j, *_ in splits for child in (nodes[j].left, nodes[j].right)]
         depth += 1
@@ -156,6 +160,8 @@ def depth_leaf_counts(grown: Tree, max_depth: int) -> np.ndarray:
 def truncate_leaves(grown: Tree, max_leaves: int) -> Tree:
     """Prefix of a best-first grown tree with at most max_leaves leaves: the
     first max_leaves - 1 splits its growth realized, by Node.order."""
+    if isinstance(grown, Node) and grown.order is None:
+        raise PreconditionViolated("leaf truncation needs a best-first tree: a split has no order")
     return _prune(grown, lambda node, depth: node.order < max_leaves - 1)
 
 

@@ -9,7 +9,7 @@ figures.
 import math
 import sys
 
-from .data_io import make_dir, write_text
+from .data_io import check_widths, make_dir, table_lines, write_text
 from .errors import ConfigError, EmptyTable, MalformedRow
 
 WIDTH, HEIGHT = 640, 420
@@ -202,19 +202,16 @@ def table_rows(text: str, kind) -> list:
     """Rows of a result table's CSV text, with the columns a chart of this
     kind reads converted. EmptyTable for no header; MalformedRow names the
     line of a missing column, a row of the wrong width or a bad cell."""
-    lines = text.splitlines()
-    if not lines:
+    lines = table_lines(text)
+    header_no, header = next(lines, (None, None))
+    if header is None:
         raise EmptyTable("empty result table")
-    header = lines[0].split(",")
     columns = CHART_COLUMNS[kind]
     for key in columns:
         if key not in header:
-            raise MalformedRow(f"a {kind} table needs a {key!r} column", 1)
+            raise MalformedRow(f"a {kind} table needs a {key!r} column", header_no)
     rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        values = line.split(",")
-        if len(values) != len(header):
-            raise MalformedRow(f"expected {len(header)} fields, got {len(values)}", line_no)
+    for line_no, values in check_widths(lines, len(header)):
         row = dict(zip(header, values))
         for key, convert in columns.items():
             try:

@@ -97,6 +97,45 @@ def test_gini_map_command(capsys):
     assert gains == {"0"}
 
 
+PARITY_TREE = "(node 1 1 (node 2 1 (leaf +1) (leaf -1)) (node 2 1 (leaf -1) (leaf +1)))\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (("eval", "--model", "tree.sexp", "--data", "d.csv"),
+         "accuracy,total_leaves,dim\n0.6666666666666666,4,10\n"),
+        (("partition", "--p", "3", "--n", "2", "--r", "2"),
+         "class,label,size\n0,1,5\n1,-1,4\n"),
+        (("risk", "--model", "tree.sexp", "--p", "4", "--n", "2", "--dist", "product", "--a", "2"),
+         "error_set_size,proper_set_size,exact_risk,leaf_count\n6,10,1/2,4\n"),
+        (("complexity", "--p", "2", "--n", "2", "--epsilon", "0.25", "--max-leaves", "6"),
+         "family,epsilon,minimal_leaves,minimal_dim,achieved_risk,search_exhaustive,states\n"
+         "tree,1/4,3,7,1/4,true,15\n"
+         "witness,(node 1 1 (leaf -1) (node 2 1 (leaf -1) (leaf +1)))\n"),
+        (("complexity", "--p", "2", "--n", "2", "--epsilon", "0.25", "--max-leaves", "1"),
+         "family,epsilon,minimal_leaves,minimal_dim,achieved_risk,search_exhaustive,states\n"
+         "tree,1/4,,,,true,1\n"),
+        (("leafbound", "--model", "tree.sexp", "--p", "2", "--n", "2"),
+         "total_leaf_count,space_size,holds\n4,4,true\n"),
+        (("gini-map", "--p", "4", "--n", "2", "--dist", "product", "--a", "3"),
+         "feature,cut,gain,exact_gain\n"
+         "1,1,0.013119533527696793,9/686\n1,2,0.02295918367346939,9/392\n"
+         "1,3,0.013119533527696793,9/686\n2,1,0.0,0\n2,2,0.0,0\n2,3,0.0,0\nbest,1,2,\n"),
+        (("gini-map", "--p", "2", "--n", "1", "--svg", "plots"),
+         "feature,cut,gain,exact_gain\n1,1,0.5,1/2\nbest,1,1,\n"
+         "wrote,plots/gini_p-2-n-1-uniform_layer1.svg\n"),
+    ],
+    ids=["eval", "partition", "risk", "complexity-witness", "complexity-none",
+         "leafbound", "gini-map", "gini-map-svg"],
+)
+def test_table_command_stdout_bytes(tmp_path, capsys, monkeypatch, argv, stdout):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tree.sexp").write_text(PARITY_TREE, encoding="utf-8")
+    (tmp_path / "d.csv").write_text("f1,f2,label\n0.5,0.5,1\n1.5,0.5,-1\n2.5,2.5,-1\n", encoding="utf-8")
+    assert run_cli(capsys, *argv) == (0, stdout, "")
+
+
 def test_experiment_and_plot_commands(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(
@@ -320,6 +359,11 @@ def test_output_directory_through_a_file_exits_with_error_line(tmp_path, capsys,
          "error: line 3: total_leaves 'x' is not a number"),
         ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,a=3,T,3,0.5\n",
          "error: line 2: expected 5 fields, got 6"),
+        ("\nexperiment,subject,model,total_leaves,test_accuracy\n\nsim,n=2,T,3,0.5\nsim,n=2,T\n",
+         "error: line 5: expected 5 fields, got 3"),
+        ("\n\nexperiment,model,total_leaves,test_accuracy\n",
+         "error: line 3: a sim table needs a 'subject' column"),
+        ("\n  \n", "error: empty result table"),
         ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,T,0,0.5\nsim,n=2,T,3,0.7\n",
          "error: log axis requires positive x values, got 0"),
         ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,T,1,nan\nsim,n=2,T,3,0.7\n",
@@ -330,7 +374,8 @@ def test_output_directory_through_a_file_exits_with_error_line(tmp_path, capsys,
          % ("2" + "0" * 308), "error: plot points must be finite"),
     ],
     ids=[
-        "empty", "no-subject", "bad-cell", "wide-row", "zero-leaves", "nan-accuracy",
+        "empty", "no-subject", "bad-cell", "wide-row", "narrow-row-after-blank-lines",
+        "no-subject-after-blank-lines", "blank-lines-only", "zero-leaves", "nan-accuracy",
         "400-digit-leaves", "309-digit-leaves",
     ],
 )
@@ -367,6 +412,18 @@ def test_out_of_range_argument_exits_with_error_line(tmp_path, capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "Traceback" not in err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv"]
+
+
+def test_plot_skips_blank_lines(tmp_path, capsys):
+    table = tmp_path / "sim.csv"
+    table.write_text(
+        "experiment,subject,model,total_leaves,test_accuracy\n\nsim,n=2,T,1,0.5\nsim,n=2,T,3,0.7\n\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
+        capsys, "plot", "--kind", "sim", "--table", str(table), "--out", str(tmp_path / "p")
+    )
+    assert (code, out, err) == (0, f"wrote {tmp_path / 'p' / 'sim_n-2.svg'}\n", "")
 
 
 def test_plot_ticks_stop_at_the_largest_float_decade(tmp_path, capsys):
@@ -431,4 +488,4 @@ def test_negative_seed_exits_with_error_line(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: seed must be >= 0, got -1\n"
-    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["data.csv"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data.csv"]

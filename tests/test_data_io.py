@@ -198,6 +198,18 @@ def test_fetch_wrong_arity(tmp_path):
         fetch_dataset(manifest, cache_dir=tmp_path / "cache")
 
 
+def test_fetch_skips_blank_lines_and_keeps_file_line_numbers(tmp_path):
+    text = "junk\n\n1.0, 2.0, 0,\n\n   \n3.0,4.0,1\n\n"
+    manifest = _local_manifest(tmp_path, skip_lines=1, text=text)
+    data = fetch_dataset(manifest, cache_dir=tmp_path / "cache")
+    assert data.X.tolist() == [[1.0, 2.0], [3.0, 4.0]] and data.y.tolist() == [0, 1]
+    manifest = _local_manifest(tmp_path, skip_lines=1, text=text + "\n5.0,6.0,7.0,1\n")
+    with pytest.raises(MalformedRow) as err:
+        fetch_dataset(manifest, cache_dir=tmp_path / "cache2")
+    assert err.value.line == 9
+    assert str(err.value).endswith("toy.train: expected 3 fields, got 4")
+
+
 def test_fetch_validates_expected_rows(tmp_path):
     base = _local_manifest(tmp_path)
     pinned = DatasetManifest(

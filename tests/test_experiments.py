@@ -64,6 +64,7 @@ def test_strip_wall_time():
     text = "a,wall_time,b\n1,9.9,2\n"
     assert strip_wall_time(text) == "a,b\n1,2"
     assert strip_wall_time("a,b\n1,2\n") == "a,b\n1,2\n"
+    assert strip_wall_time("\na,wall_time,b\n\n1,9.9,2\n\n") == "a,b\n1,2"
 
 
 TINY_SIM = dict(
@@ -404,7 +405,7 @@ def test_config_validation():
     + [dict(sim_ns=(0,)), dict(sim_ns=(2, -1)), dict(sim_ns=(2, 4, 2)), dict(sim_depths=(2, 2))]
     + [dict(sim_sample_count=count) for count in (1, 0, -5)]
     + [dict(gini_ns=(2, 0)), dict(gini_a_values=(3, 0)), dict(gini_a_values=(-2,))]
-    + [dict(uci_df_widths=(25, 0)), dict(uci_tree_sizes=(8, 0))],
+    + [dict(uci_df_widths=(25, 0)), dict(uci_tree_sizes=(8, 0)), dict(seed=-1)],
     ids=lambda bad: ",".join(f"{key}={value}" for key, value in bad.items()),
 )
 def test_bad_config_rejected_with_config_error(bad):

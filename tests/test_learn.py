@@ -21,6 +21,7 @@ from deeptrees.errors import (
     FeatureOutOfRange,
     NonFiniteFeature,
     NonIntegralLabel,
+    PreconditionViolated,
 )
 from deeptrees.lattice import LatticeSpace, ParityConcept
 from deeptrees.learn import (
@@ -234,6 +235,23 @@ def test_best_first_budget_is_prefix():
         direct = train_tree(X, y, cfg_small)
         assert truncate_leaves(grown, budget) == direct
         assert leaf_count(direct) <= budget
+
+
+def test_truncate_depth_rejects_collapsing_a_split_with_no_majority():
+    parsed = parse_model("(node 1 1.5 (leaf 1) (node 1 2.5 (leaf -1) (leaf 1)))")
+    for max_depth in (0, 1):
+        with pytest.raises(PreconditionViolated, match="trained tree"):
+            truncate_depth(parsed, max_depth)
+    for max_depth in (2, 3):
+        assert truncate_depth(parsed, max_depth) == parsed
+        assert parse_model(print_model(truncate_depth(parsed, max_depth))) == parsed
+
+
+def test_truncate_leaves_rejects_a_depth_first_tree():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    grown = train_tree_grown(X, np.array([1, -1, 1, -1]), TrainConfig(bootstrap=False))
+    with pytest.raises(PreconditionViolated, match="best-first tree"):
+        truncate_leaves(grown, 2)
 
 
 def test_training_accuracy_monotone_in_leaf_budget():
