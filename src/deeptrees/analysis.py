@@ -3,10 +3,14 @@
 Everything here enumerates; nothing samples. Probabilities are exact
 rationals built from the distributions' integer weight tables, so the
 zero-error and tight-bound checks need no tolerances. A region's point
-weights are held as an n-d numpy array of dtype object whose entries are
-Python ints (products of ``dim_weight_ints``): they are summed whole-array
-yet never wrap, where int64 would overflow (the product weights at a=3,
-n=8 already total 8.1e17, and a=5 passes 2**63).
+weights (products of ``dim_weight_ints``) are held as an n-d numpy array
+and summed whole-array. Its dtype is int64 when the region's bound, the
+product over axes of the axis weights summed over the region's range,
+is at most 2**63 - 1; the bound caps every point weight and every sum
+over the region, so no sum can wrap. Past it (a=5 on [4]^8 passes 2**63)
+the array holds Python ints in dtype object. Either way every sum leaves
+numpy as a Python int before any Fraction or square is formed, so the
+integers, and every mass, gain and risk built from them, are the same.
 """
 
 import itertools
@@ -30,6 +34,7 @@ from .tree import Leaf, Node, Region, Tree, full_region, region_size, split_regi
 
 PARTITION_CAP = 2**20
 ORACLE_POINT_CAP = 2**6
+INT64_MAX = 2**63 - 1
 
 
 class _UnionFind:
@@ -118,19 +123,28 @@ def _region_grid(space: LatticeSpace, concept: Concept, dist: LatticeDistributio
 
     Both arrays are shaped like the region, axis j running over feature
     j+1's values lo..hi, so their ravel order is enumeration order.
-    Weights are Python ints in an object array: the outer product of the
-    per-dimension integer weights, unnormalized (the full lattice sums to
-    dist.total_weight_int()).
+    Weights are the outer product of the per-dimension integer weights,
+    unnormalized (the full lattice sums to dist.total_weight_int()). Their
+    dtype is int64 when the region's bound, the product over axes of the
+    weights summed over lo..hi, is at most INT64_MAX, and object (Python
+    ints) otherwise. Weights are positive, so the bound caps every partial
+    product and every sum, and both dtypes hold the same integers.
+    Callers convert sums to Python ints (int(), .tolist()) before
+    squaring them.
     """
     if len(region) != space.n or any(lo < 1 or hi > space.p for lo, hi in region):
         raise OutOfBounds(f"region {region} is not a box inside [{space.p}]^{space.n}")
     grid = np.meshgrid(*[np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in region],
                        indexing="ij", copy=False)
     labels = concept.labels(np.stack(grid, axis=-1).reshape(-1, space.n)).reshape(grid[0].shape)
-    weights = np.array(1, dtype=object)
-    for i, (lo, hi) in enumerate(region, start=1):
-        dim_weights = np.array(dist.dim_weight_ints(i)[0][lo - 1:hi], dtype=object)
-        weights = np.multiply.outer(weights, dim_weights)
+    axis_weights = [dist.dim_weight_ints(i)[0][lo - 1:hi] for i, (lo, hi) in enumerate(region, start=1)]
+    bound = 1
+    for dim_weights in axis_weights:
+        bound *= sum(dim_weights)
+    dtype = np.int64 if bound <= INT64_MAX else object
+    weights = np.array(1, dtype=dtype)
+    for dim_weights in axis_weights:
+        weights = np.multiply.outer(weights, np.array(dim_weights, dtype=dtype))
     return labels, weights
 
 
@@ -235,7 +249,7 @@ class _OracleSearch:
         if cached is not None:
             return cached
         labels, weights = _region_grid(self.space, self.concept, self.dist, region)
-        w_pos = int(np.where(labels == 1, weights, 0).sum())
+        w_pos = int(weights[labels == 1].sum())
         w_neg = int(weights.sum()) - w_pos
         self._class_weights[region] = (w_pos, w_neg)
         return w_pos, w_neg
@@ -358,7 +372,14 @@ def _gini(term_weights, total) -> Fraction:
 
 def gini_gain_map(space: LatticeSpace, dist: LatticeDistribution, concept: Concept,
                   region: Optional[Region] = None, cap: int = PARTITION_CAP) -> GiniGainMap:
-    """Gini gain of every (feature, integer cut) split under the conditional law."""
+    """Gini gain of every (feature, integer cut) split under the conditional law.
+
+    A cut with class weights L_c left and R_c right of totals L and R
+    (T = L + R, T_c = L_c + R_c) has gain parent - (L/T) gini(left) -
+    (R/T) gini(right), formed as the one rational
+    (sum L_c^2 R T + sum R_c^2 L T - sum T_c^2 L R) / (L R T^2),
+    and 0 when a side is empty.
+    """
     if region is None:
         region = full_region(space)
     if space.size > cap:
@@ -366,38 +387,40 @@ def gini_gain_map(space: LatticeSpace, dist: LatticeDistribution, concept: Conce
     if region_size(region) == 0:
         raise EmptyRegion(f"region {region} holds no lattice point")
     labels, weights = _region_grid(space, concept, dist, region)
-    classes = [int(c) for c in np.unique(labels)]
-    class_totals: dict[int, int] = {}
-    # marginals[c][j][v - lo_j]: weight of class c at value v of feature j+1
-    marginals: dict[int, list] = {}
-    for c in classes:
+    class_totals = []
+    # marginals[j][k][v - lo_j]: weight of the k-th class at value v of feature j+1
+    marginals = [[] for _ in range(space.n)]
+    for c in np.unique(labels):
         masked = np.where(labels == c, weights, 0)
-        class_totals[c] = int(masked.sum())
-        marginals[c] = [
-            masked.sum(axis=tuple(k for k in range(space.n) if k != j)) for j in range(space.n)
-        ]
-    total = sum(class_totals.values())
+        class_totals.append(int(masked.sum()))
+        for j in range(space.n):
+            marginals[j].append(masked.sum(axis=tuple(k for k in range(space.n) if k != j)).tolist())
+    total = sum(class_totals)
     if total == 0:
         raise EmptyRegion(f"region {region} has zero probability mass")
-    parent = _gini([class_totals[c] for c in classes], total)
+    parent = _gini(class_totals, total)
+    total_squares = sum(t * t for t in class_totals)
     gains: dict[tuple[int, int], Fraction] = {}
     best = None
     best_gain = None
     for feature in range(1, space.n + 1):
         lo, hi = region[feature - 1]
-        left_by_class = {c: 0 for c in classes}
+        left_by_class = [0] * len(class_totals)
         for cut in range(lo, hi):
-            for c in classes:
-                left_by_class[c] += marginals[c][feature - 1][cut - lo]
-            left_total = sum(left_by_class.values())
-            right_total = total - left_total
-            left_term = (
-                Fraction(left_total, total) * _gini(list(left_by_class.values()), left_total)
-            )
-            right_term = Fraction(right_total, total) * _gini(
-                [class_totals[c] - left_by_class[c] for c in classes], right_total
-            )
-            gain = parent - left_term - right_term
+            for k, class_marginal in enumerate(marginals[feature - 1]):
+                left_by_class[k] += class_marginal[cut - lo]
+            left = sum(left_by_class)
+            right = total - left
+            if left == 0 or right == 0:
+                gain = Fraction(0)
+            else:
+                left_squares = sum(w * w for w in left_by_class)
+                right_squares = sum((t - w) ** 2 for t, w in zip(class_totals, left_by_class))
+                gain = Fraction(
+                    (left_squares * right + right_squares * left) * total
+                    - total_squares * left * right,
+                    left * right * total * total,
+                )
             gains[(feature, cut)] = gain
             if best_gain is None or gain > best_gain:
                 best = (feature, cut)

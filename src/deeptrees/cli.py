@@ -238,7 +238,7 @@ def cmd_gini_map(args):
     ]
     if gm.best is not None:
         table.append(("best", *gm.best, None))
-    if args.svg:
+    if args.svg and chart:  # a lattice with one value per axis has no cut to chart
         table.extend(("wrote", path) for path in render_plots(chart, "gini", Path(args.svg)))
     sys.stdout.write(format_table(("feature", "cut", "gain", "exact_gain"), table))
 

@@ -9,6 +9,7 @@ reproducible.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -152,23 +153,30 @@ class LatticeDistribution:
         """Integer-scaled masses (weights, total) of dimension i.
 
         weights[k] / total == dim_mass_fractions(i)[k]; used by the exact
-        impurity paths so per-point weights stay integers.
+        impurity paths so per-point weights stay integers. Computed for
+        every dimension on the first call and kept on the instance.
         """
-        fracs = self.dim_mass_fractions(i)
-        denom = 1
-        for f in fracs:
-            denom = denom * f.denominator // math.gcd(denom, f.denominator)
-        weights = tuple(int(f * denom) for f in fracs)
-        return weights, denom
+        if not 1 <= i <= self.space.n:
+            raise OutOfBounds(f"dimension {i} outside 1..{self.space.n}")
+        return self._weight_ints[i - 1]
+
+    @cached_property
+    def _weight_ints(self) -> tuple:
+        """dim_weight_ints of dimensions 1..n, built by the first call."""
+        table = []
+        for i in range(1, self.space.n + 1):
+            fracs = self.dim_mass_fractions(i)
+            denom = 1
+            for f in fracs:
+                denom = denom * f.denominator // math.gcd(denom, f.denominator)
+            table.append((tuple(int(f * denom) for f in fracs), denom))
+        return tuple(table)
 
     def dim_masses(self, i: int) -> np.ndarray:
         return np.array([float(f) for f in self.dim_mass_fractions(i)], dtype=np.float64)
 
     def total_weight_int(self) -> int:
-        t = 1
-        for i in range(1, self.space.n + 1):
-            t *= self.dim_weight_ints(i)[1]
-        return t
+        return math.prod(denom for _, denom in self._weight_ints)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """count i.i.d. points, deterministic per seed; shape (count, n)."""
@@ -193,9 +201,6 @@ class UniformDistribution(LatticeDistribution):
 
     def dim_mass_fractions(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(1, self.space.p) for _ in range(self.space.p))
-
-    def dim_weight_ints(self, i: int) -> tuple[tuple[int, ...], int]:
-        return tuple(1 for _ in range(self.space.p)), self.space.p
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         if count < 0:

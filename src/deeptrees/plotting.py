@@ -77,7 +77,10 @@ def _axis_range(values, pad_fraction=0.05):
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
     pad = (hi - lo) * pad_fraction
-    return lo - pad, hi + pad
+    lo, hi = lo - pad, hi + pad
+    if not -math.inf < lo < hi < math.inf:  # widening near float's limits was lost or overflowed
+        raise ConfigError(f"plot points {min(values)!r} to {max(values)!r} are too large to draw")
+    return lo, hi
 
 
 def _linear_ticks(lo, hi, count=5):

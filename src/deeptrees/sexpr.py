@@ -5,7 +5,8 @@
     forest     := (forest tree+)
     deepforest := (deepforest (classes INT+) forest+)
 
-Labels are integers, written "+1" and "-1" in the two-class theory core.
+Labels are integers in int64's range, written "+1" and "-1" in the
+two-class theory core.
 Thresholds are finite reals and print with round-trip precision.
 Whitespace is insignificant. Reading, building and printing use explicit
 stacks, so any nesting depth parses and prints.
@@ -99,9 +100,13 @@ def _parse_label(tok):
     if isinstance(tok, _Form):
         raise LabelDomainError("leaf label must be an integer", tok.line, tok.column)
     try:
-        return int(tok.text)
+        label = int(tok.text)
     except ValueError:
         raise LabelDomainError(f"leaf label must be an integer, got {tok.text!r}", tok.line, tok.column) from None
+    if not -(2**63) <= label < 2**63:
+        # predictions are int64 arrays
+        raise LabelDomainError(f"leaf label must fit in int64, got {tok.text!r}", tok.line, tok.column)
+    return label
 
 
 def _parse_threshold(tok):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from deeptrees.analysis import (
+    INT64_MAX,
     _gini,
     _OracleSearch,
+    _region_grid,
     forest_zero_error_leafbound,
     gini_gain_map,
     label_partition,
@@ -32,7 +34,7 @@ from deeptrees.lattice import (
 )
 from deeptrees.rng import generator
 from deeptrees.sexpr import print_model
-from deeptrees.tree import Leaf
+from deeptrees.tree import Leaf, full_region
 
 from test_tree import PARITY_2x2, random_tree
 
@@ -535,3 +537,56 @@ def test_region_kernels_exact_past_int64():
         search = _OracleSearch(space, concept, dist, node_budget=1)
         assert search.region_class_weights(region) == (w_pos, w_neg)
         _assert_gini_matches_reference(space, dist, concept, region)
+
+
+def _region_bound(dist, region):
+    bound = 1
+    for i, (lo, hi) in enumerate(region, start=1):
+        bound *= sum(dist.dim_weight_ints(i)[0][lo - 1:hi])
+    return bound
+
+
+@pytest.mark.parametrize(
+    "region, dtype",
+    [
+        (((1, 1), (1, 2), (3, 4), (1, 4), (1, 4), (1, 4), (1, 4), (2, 2)), np.int64),
+        (((1, 1), (1, 3), (1, 1), (3, 3), (1, 1), (3, 3), (3, 3), (3, 3)), object),
+    ],
+    ids=["bound-just-under-2**63", "bound-just-over-2**63"],
+)
+def test_region_kernels_exact_either_side_of_the_int64_switch(region, dtype):
+    space = LatticeSpace(8, 4)
+    dist = ProductDistribution(space, 5)
+    bound = _region_bound(dist, region)
+    if dtype is np.int64:
+        assert 0.99 * 2**63 < bound <= INT64_MAX
+    else:
+        assert INT64_MAX < bound < 1.01 * 2**63
+    for concept in _concepts(space, generator(8, "region-kernel-int64-switch")):
+        assert _region_grid(space, concept, dist, region)[1].dtype == dtype
+        search = _OracleSearch(space, concept, dist, node_budget=1)
+        assert search.region_class_weights(region) == reference_class_weights(dist, concept, region)
+        _assert_gini_matches_reference(space, dist, concept, region)
+
+
+def test_region_kernels_exact_where_int64_weights_square_past_int64():
+    # at a=3 the box's 256 weights sum to 4.7e17, but its class weights
+    # squared, and the gain numerators built from them, pass 2**63
+    space = LatticeSpace(8, 4)
+    dist = ProductDistribution(space, 3)
+    region = ((2, 3),) * 8
+    box = np.array(list(_points(region)), dtype=np.int64)
+    table = np.ones(space.size, dtype=np.int64)
+    table[(box - 1) @ (space.p ** np.arange(space.n - 1, -1, -1))] = ParityConcept(space).labels(box)
+    concept = TabulatedConcept(space, table)
+    assert _region_grid(space, concept, dist, region)[1].dtype == np.int64
+    assert _region_grid(space, concept, dist, full_region(space))[1].dtype == np.int64
+    w_pos, w_neg = reference_class_weights(dist, concept, region)
+    assert min(w_pos, w_neg) ** 2 > 2**63
+    search = _OracleSearch(space, concept, dist, node_budget=1)
+    assert search.region_class_weights(region) == (w_pos, w_neg)
+    _assert_gini_matches_reference(space, dist, concept, region)
+    # the constant +1 model errs on the box's odd-sum points alone
+    report = risk_report(Leaf(1), concept, dist, space)
+    assert report.error_set_size == 128
+    assert report.exact_risk == reference_risk(Leaf(1), concept, dist, space)

@@ -243,6 +243,26 @@ def test_non_finite_threshold_model_is_rejected(tmp_path, capsys, threshold):
     assert err.startswith("error: 1:9:")
 
 
+def test_gini_map_without_cuts_writes_no_chart(tmp_path, capsys):
+    # one value per axis: no cut, so --svg adds nothing to the header-only table
+    plots = tmp_path / "plots"
+    header_only = (0, "feature,cut,gain,exact_gain\n", "")
+    assert run_cli(capsys, "gini-map", "--p", "1", "--n", "2") == header_only
+    assert run_cli(capsys, "gini-map", "--p", "1", "--n", "2", "--svg", str(plots)) == header_only
+    assert not plots.exists()
+
+
+@pytest.mark.parametrize("label", ["99999999999999999999999", "9223372036854775808"])
+def test_eval_rejects_label_outside_int64(tmp_path, capsys, label):
+    model_path = tmp_path / "m.txt"
+    model_path.write_text(f"(node 1 1.5 (leaf 1) (leaf {label}))\n", encoding="utf-8")
+    data_path = tmp_path / "d.csv"
+    write_csv(np.array([[1.0], [2.0]]), np.array([1, -1]), data_path)
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path), "--data", str(data_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: 1:28: leaf label must fit in int64, got '{label}'\n"
+
+
 def test_compile_tree_rejects_non_binary_labels(tmp_path, capsys):
     source = tmp_path / "tree.sexp"
     source.write_text("(node 1 2 (leaf 2) (leaf -1))\n", encoding="utf-8")
@@ -372,11 +392,16 @@ def test_output_directory_through_a_file_exits_with_error_line(tmp_path, capsys,
          % ("7" * 400), "error: plot points must be finite"),
         ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,T,3,0.5\nsim,n=2,T,%s,0.7\n"
          % ("2" + "0" * 308), "error: plot points must be finite"),
+        ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,T,3,1e308\n",
+         "error: plot points 1e+308 to 1e+308 are too large to draw"),
+        ("experiment,subject,model,total_leaves,test_accuracy\nsim,n=2,T,1,-1e308\nsim,n=2,T,3,1e308\n",
+         "error: plot points -1e+308 to 1e+308 are too large to draw"),
     ],
     ids=[
         "empty", "no-subject", "bad-cell", "wide-row", "narrow-row-after-blank-lines",
         "no-subject-after-blank-lines", "blank-lines-only", "zero-leaves", "nan-accuracy",
-        "400-digit-leaves", "309-digit-leaves",
+        "400-digit-leaves", "309-digit-leaves", "one-accuracy-near-float-max",
+        "accuracies-spanning-past-float-max",
     ],
 )
 def test_plot_rejects_malformed_table(tmp_path, capsys, text, message):

@@ -8,7 +8,7 @@ from deeptrees.lattice import LatticeSpace
 from deeptrees.learn import TrainConfig, train_cascade, train_forest, train_tree
 from deeptrees.rng import generator
 from deeptrees.sexpr import parse_model, print_model
-from deeptrees.tree import Leaf, Node
+from deeptrees.tree import Leaf, Node, evaluate_batch
 
 from test_ensemble import LABEL_SETS, MODEL_KINDS, random_model
 from test_tree import DEEP, deep_chain, random_tree
@@ -110,6 +110,20 @@ def test_error_positions():
         parse_model("(leaf x)")
     with pytest.raises(LabelDomainError):
         parse_model("(leaf 1.5)")
+
+
+@pytest.mark.parametrize("label", ["99999999999999999999999", "9223372036854775808", "-9223372036854775809"])
+def test_label_outside_int64_rejected_at_its_token(label):
+    with pytest.raises(LabelDomainError) as err:
+        parse_model(f"(node 1 1.5 (leaf 1)\n (leaf {label}))")
+    assert (err.value.line, err.value.column) == (2, 8)
+
+
+@pytest.mark.parametrize("label", [2**63 - 1, -(2**63)])
+def test_int64_edge_labels_parse_and_evaluate(label):
+    tree = parse_model(f"(node 1 1.5 (leaf 1) (leaf {label}))")
+    assert tree.right == Leaf(label)
+    assert evaluate_batch(tree, np.array([[1.0], [2.0]])).tolist() == [1, label]
 
 
 def test_unbalanced_and_trailing():
