@@ -7,7 +7,6 @@ the schemas.
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from .lattice import (
     ProductDistribution,
     UniformDistribution,
 )
-from .learn import TrainConfig, accuracy, train_cascade, train_forest, train_tree
+from .learn import TrainConfig, accuracy, train_cascade, train_cascade_forest, train_forest, train_tree
 from .plotting import render_plots, table_rows
 from .sexpr import parse_model, print_model
 from .tree import Leaf, Node
@@ -154,7 +153,7 @@ def cmd_train(args):
     elif args.model == "cascade-tree":
         model = train_cascade(X, y, cfg)
     else:  # cascade-forest
-        model = train_cascade(X, y, replace(cfg, augment_mode="classvector"))
+        model = train_cascade_forest(X, y, cfg)
     _write_model(model, args.out)
     _emit(
         [

@@ -52,7 +52,7 @@ from .lattice import (
 from .learn import (
     TrainConfig,
     depth_leaf_counts,
-    train_cascade,
+    train_cascade_forest,
     train_forest,
     train_forest_grown,
     train_label_cascades,
@@ -100,7 +100,10 @@ def parse_sim_model(name: str) -> tuple:
     match = re.fullmatch(r"(RF|DT)-([0-9]+)", name)
     if match is None:
         raise ConfigError(f"unknown simulation model {name!r}; expected T, RF-<width> or DT-<depth>")
-    size = int(match[2])
+    try:
+        size = int(match[2])
+    except ValueError:  # more digits than int() converts
+        raise ConfigError(f"simulation model {match[1]}-<{len(match[2])} digits>: too large") from None
     if size < 1:
         raise ConfigError(f"simulation model {name!r}: width or cascade depth must be >= 1")
     return (match[1], size)
@@ -159,6 +162,8 @@ class ExperimentConfig:
             grid = getattr(self, grid_name)
             if len(set(grid)) < len(grid):
                 raise ConfigError(f"{grid_name} repeats an entry: {grid}")
+        if self.sample_count >= 2**63:
+            raise ConfigError("sim_sample_count must be below 2**63")
         if min(split_sizes(self.sample_count)) < 1:
             raise ConfigError(
                 f"sim_sample_count {self.sample_count} leaves the 70/30 train or test "
@@ -179,6 +184,10 @@ class ExperimentConfig:
         return 1_000_000 if self.scale == "paper" else 100_000
 
 
+# Entries a grid may hold: a range like "1-10000000000" fails before it fills memory.
+GRID_LIMIT = 10_000
+
+
 def _parse_ints(text: str) -> tuple:
     """Comma-separated integers; "a-b" expands to the inclusive range."""
     out = []
@@ -186,14 +195,14 @@ def _parse_ints(text: str) -> tuple:
         piece = piece.strip()
         if not piece:
             continue
+        lo, hi = piece.split("-", 1) if "-" in piece[1:] else (piece, piece)
         try:
-            if "-" in piece[1:]:
-                lo, hi = piece.split("-", 1)
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(piece))
+            lo, hi = int(lo), int(hi)
         except ValueError:
             raise ConfigError(f"expected an integer or a range a-b, got {piece!r}") from None
+        if len(out) + hi - lo + 1 > GRID_LIMIT:
+            raise ConfigError(f"{piece!r} takes the grid past {GRID_LIMIT} entries")
+        out.extend(range(lo, hi + 1))
     return tuple(out)
 
 
@@ -819,10 +828,10 @@ def run_uci(cfg: ExperimentConfig) -> list:
             for width in cfg.uci_df_widths:
                 df_cfg = TrainConfig(
                     max_leaves=size, seed=cfg.seed, n_trees=width, bootstrap=True,
-                    feature_subsample="sqrt", cascade_depth=2, augment_mode="classvector",
+                    feature_subsample="sqrt", cascade_depth=2,
                 )
                 start = time.perf_counter()
-                cascade = train_cascade(data.train_X, data.train_y, df_cfg)
+                cascade = train_cascade_forest(data.train_X, data.train_y, df_cfg)
                 accuracies = tuple(
                     float(np.mean(cascade.predict_batch(X) == y)) for X, y in _splits(data)
                 )
@@ -936,6 +945,4 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             out / "uci_summary.csv",
         )
         written["plots"] = render_plots(rows, "uci", out)
-    else:
-        raise ValueError(f"unknown experiment {cfg.experiment!r}")
     return written

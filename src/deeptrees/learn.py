@@ -1,5 +1,10 @@
 """Greedy tree training, random forests, and cascade training.
 
+There is one trainer per model kind, and TrainConfig holds only settings:
+train_tree, train_forest, train_cascade (the label cascade, a DeepTree of
+trees that read the layer below's label) and train_cascade_forest (the
+class-vector CascadeForest, whose forests read its vote fractions).
+
 The splitter is the usual sorted-sweep CART: candidate thresholds are
 midpoints between consecutive distinct feature values, the split with
 the highest Gini gain wins, and ties break to the lowest feature index
@@ -68,7 +73,6 @@ class TrainConfig:
     feature_subsample: str = "all"  # "all" | "sqrt"
     bootstrap: bool = True
     cascade_depth: int = 1
-    augment_mode: str = "label"  # "label" | "classvector"
 
     def __post_init__(self):
         if self.max_depth is not None and self.max_depth < 0:
@@ -81,8 +85,6 @@ class TrainConfig:
             raise ConfigError(f"cascade_depth must be >= 1, got {self.cascade_depth}")
         if self.feature_subsample not in ("all", "sqrt"):
             raise ConfigError(f"unknown feature_subsample {self.feature_subsample!r}")
-        if self.augment_mode not in ("label", "classvector"):
-            raise ConfigError(f"unknown augment_mode {self.augment_mode!r}")
 
 
 def _assemble(levels) -> list:
@@ -148,7 +150,7 @@ def depth_leaf_counts(grown: Tree, max_depth: int) -> np.ndarray:
     splits at depth b, which collapse to their majority.
     """
     if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
+        raise ConfigError(f"max_depth must be >= 0, got {max_depth}")
     leaves = np.zeros(max_depth + 1, dtype=np.int64)
     collapsed = np.zeros(max_depth + 1, dtype=np.int64)
     for node, depth in walk(grown):
@@ -609,7 +611,7 @@ def train_label_cascades(X, y, cfg: TrainConfig, budgets, first_layer: Optional[
     """
     budgets = list(budgets)
     if cfg.max_leaves is not None and len(set(budgets)) > 1:
-        raise ValueError("with a leaf budget every depth budget must be the same")
+        raise ConfigError("with a leaf budget every depth budget must be the same")
     X = np.asarray(X, dtype=np.float64)
     grower = _Grower(X, y, replace(cfg, n_trees=1, bootstrap=False, feature_subsample="all"))
     every_row = np.arange(len(X))
@@ -656,27 +658,19 @@ def train_label_cascades(X, y, cfg: TrainConfig, budgets, first_layer: Optional[
     return [DeepTree(tuple(cascade)) for cascade in layers]
 
 
-def train_cascade(X, y, cfg: TrainConfig, first_layer: Optional[Tree] = None):
-    """Layer-wise cascade training.
+def train_cascade(X, y, cfg: TrainConfig) -> DeepTree:
+    """Label cascade of cfg.cascade_depth layers: each layer is a single
+    tree, and later layers see the layer below's hard label as feature
+    n + 1. The one-budget case of train_label_cascades."""
+    return train_label_cascades(X, y, cfg, [cfg.max_depth])[0]
 
-    In label mode each layer is a single tree and later layers see the
-    previous layer's hard label as feature n+1; the result is a DeepTree,
-    the one-budget case of train_label_cascades.
-    In classvector mode each layer is a forest and later layers see the
-    layer's per-class vote fractions; the result is a CascadeForest.
 
-    first_layer optionally injects a pre-trained first layer (label mode
-    only); layer-1 training is seed-free here, so any greedy tree trained
-    on the same rows with the same budgets is identical.
-    """
+def train_cascade_forest(X, y, cfg: TrainConfig) -> CascadeForest:
+    """Class-vector cascade forest of cfg.cascade_depth layers: each layer
+    is a forest, and later layers see the raw rows plus the layer below's
+    per-class vote fractions. Layer d's seed depends only on (seed, d)."""
     X = np.asarray(X, dtype=np.float64)
     y = _checked_labels(y)
-    if len(X) == 0:
-        raise EmptyDataset("cannot train on an empty dataset")
-    if cfg.augment_mode == "label":
-        return train_label_cascades(X, y, cfg, [cfg.max_depth], first_layer)[0]
-    if first_layer is not None:
-        raise ValueError("first_layer injection only applies to label mode")
     classes = tuple(int(c) for c in np.unique(y))
     layers = []
     current = X

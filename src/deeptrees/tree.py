@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import FeatureOutOfRange, NonFiniteThreshold
+from .errors import ConfigError, FeatureOutOfRange, NonFiniteThreshold
 from .lattice import LatticeSpace
 
 
@@ -280,7 +280,7 @@ def depth_labels(grown: Tree, X, max_depth: int) -> np.ndarray:
     FeatureOutOfRange where evaluating the max_depth truncation would.
     """
     if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
+        raise ConfigError(f"max_depth must be >= 0, got {max_depth}")
     X = _row_matrix(X)
     out = np.empty((max_depth + 1, X.shape[0]), dtype=np.int64)
     for node, depth, idx in _route(grown, X, max_depth):

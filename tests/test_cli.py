@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,28 @@ def test_gen_train_eval_cycle(tmp_path, capsys):
     assert code == 0
     accuracy = float(out.splitlines()[1].split(",")[0])
     assert accuracy > 0.9
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("cascade-tree", "483325e32361d5a38b7e7d6404e416d9603ba774dc663f181f78fedab2ce7540"),
+        ("cascade-forest", "4f3d74ea67b39a4331d5e26eff5924882769d522dee04058c875f79ece58da06"),
+    ],
+)
+def test_train_cascade_model_text_is_pinned(tmp_path, capsys, kind, digest):
+    prefix = tmp_path / "sim"
+    code, _, _ = run_cli(
+        capsys, "gen-data", "--n", "2", "--count", "200", "--seed", "5", "--out", str(prefix)
+    )
+    assert code == 0
+    model_path = tmp_path / "model.sexp"
+    code, _, _ = run_cli(
+        capsys, "train", "--model", kind, "--data", f"{prefix}-train.csv", "--out", str(model_path),
+        "--n-trees", "3", "--cascade-depth", "2",
+    )
+    assert code == 0
+    assert hashlib.sha256(model_path.read_bytes()).hexdigest() == digest
 
 
 def test_complexity_command(capsys):
@@ -160,7 +184,8 @@ def test_experiment_and_plot_commands(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line", ["models = T,XX", "models = T,RF-x", "models = T,RF-0", "models = T,DT-0",
              "models = T,RF-3,RF-3", "depths = 1-x", "ns = 0", "ns = 2,2", "depths = 2,2",
-             "sample_count = 1", "a = 0", "a = -2"],
+             "sample_count = 1", "a = 0", "a = -2", "sample_count = " + "9" * 309,
+             "models = T,RF-" + "9" * 4301, "depths = 1-10000000000"],
 )
 def test_experiment_rejects_bad_sim_config(tmp_path, capsys, line):
     cfg = tmp_path / "cfg.ini"

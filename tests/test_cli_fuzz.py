@@ -1,7 +1,8 @@
 """Hypothesis drives cli.main over malformed tables and small, zero and
 negative integer arguments; the module skips when hypothesis is not
 installed. Whatever the input, a run exits 0, or 1 with an error line, or
-2 when argparse rejects the command line: no exception escapes."""
+2 when argparse rejects the command line: no exception escapes. A config
+file with any value under any key loads or raises a DeepTreesError."""
 
 import contextlib
 import io
@@ -14,6 +15,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from deeptrees.cli import main  # noqa: E402
+from deeptrees.errors import DeepTreesError  # noqa: E402
+from deeptrees.experiments import CONFIG_KEYS, ExperimentConfig, load_config  # noqa: E402
 
 MODELS = (
     "(node 1 1 (node 2 1 (leaf +1) (leaf -1)) (node 2 1 (leaf -1) (leaf +1)))",
@@ -156,3 +159,30 @@ def test_integer_arguments_keep_the_exit_contract(command, data, model):
     if command in ("build-parity", "gen-data"):
         argv += ["--out", "@out"]
     assert_exit_contract(argv, {"m.sexp": model})
+
+
+# Integer text: small values, and digit runs either side of int64's range,
+# a float's range and int()'s 4300-digit limit.
+NUMBER = st.integers(-3, 40).map(str) | st.sampled_from((18, 19, 308, 309, 4300, 4301)).map(lambda k: "9" * k)
+VALUE = st.one_of(
+    st.text(max_size=20),
+    NUMBER,
+    st.tuples(NUMBER, NUMBER).map("-".join),
+    st.tuples(st.sampled_from(("RF-", "DT-")), NUMBER).map("".join),
+    st.lists(NUMBER | st.sampled_from(("T", "RF-3", "DT-0", "x", "1-3", "")), max_size=4).map(",".join),
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(key=st.sampled_from(sorted(CONFIG_KEYS)), value=VALUE)
+def test_any_config_value_loads_or_raises_a_deeptrees_error(key, value):
+    section, name = key
+    text = "[experiment]\n" + ("" if section == "experiment" else f"[{section}]\n") + f"{name} = {value}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ini"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except DeepTreesError:
+            return
+    assert isinstance(cfg, ExperimentConfig)

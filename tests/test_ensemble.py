@@ -18,7 +18,7 @@ from deeptrees.ensemble import (
 )
 from deeptrees.errors import FeatureOutOfRange
 from deeptrees.lattice import LatticeSpace, ParityConcept
-from deeptrees.learn import TrainConfig, train_cascade, train_forest
+from deeptrees.learn import TrainConfig, train_cascade, train_cascade_forest, train_forest
 from deeptrees.rng import generator
 from deeptrees.sexpr import parse_model, print_model
 from deeptrees.tree import CHUNK_DEPTH, Leaf, Node, evaluate, evaluate_batch, point_router
@@ -222,9 +222,7 @@ def test_cascade_forest_point_matches_batch():
     rng = generator(7, "cascade-forest-point")
     X = rng.random((300, 3)) * 4
     y = np.floor(X[:, 0] + X[:, 1]).astype(np.int64) % 3
-    cascade = train_cascade(
-        X, y, TrainConfig(max_depth=2, n_trees=4, cascade_depth=3, augment_mode="classvector")
-    )
+    cascade = train_cascade_forest(X, y, TrainConfig(max_depth=2, n_trees=4, cascade_depth=3))
     rows = rng.random((200, 3)) * 4
     batch = cascade.predict_batch(rows)
     assert [cascade.predict(x) for x in rows] == batch.tolist()
@@ -384,9 +382,7 @@ def test_point_router_on_trained_models():
     models = (
         train_forest(X, y, TrainConfig(max_depth=4, seed=2, n_trees=6, feature_subsample="sqrt")),
         train_cascade(X, y, TrainConfig(max_depth=3, seed=2, cascade_depth=3)),
-        train_cascade(
-            X, y, TrainConfig(max_depth=2, seed=2, n_trees=4, cascade_depth=2, augment_mode="classvector")
-        ),
+        train_cascade_forest(X, y, TrainConfig(max_depth=2, seed=2, n_trees=4, cascade_depth=2)),
     )
     rows = rng.random((150, 3)) * 4
     rows[::7, 1] = np.nan
@@ -443,9 +439,7 @@ def test_point_query_keeps_model_identity():
     models = (
         train_forest(X, y, TrainConfig(max_depth=3, seed=1, n_trees=5)),
         train_cascade(X, y, TrainConfig(max_depth=3, seed=1, cascade_depth=3)),
-        train_cascade(
-            X, y, TrainConfig(max_depth=2, seed=1, n_trees=3, cascade_depth=2, augment_mode="classvector")
-        ),
+        train_cascade_forest(X, y, TrainConfig(max_depth=2, seed=1, n_trees=3, cascade_depth=2)),
     )
     for model in models:
         copy = parse_model(print_model(model))
@@ -466,9 +460,7 @@ def test_models_build_no_table_until_a_point_query(monkeypatch):
     y = (X[:, 0] > 2).astype(np.int64)
     forest = train_forest(X, y, TrainConfig(max_depth=2, seed=1, n_trees=3))
     deeptree = train_cascade(X, y, TrainConfig(max_depth=2, seed=1, cascade_depth=2))
-    cascade = train_cascade(
-        X, y, TrainConfig(max_depth=2, seed=1, n_trees=3, cascade_depth=2, augment_mode="classvector")
-    )
+    cascade = train_cascade_forest(X, y, TrainConfig(max_depth=2, seed=1, n_trees=3, cascade_depth=2))
     for model in (forest, deeptree, cascade):
         model.predict_batch(X)
     assert built == []

@@ -30,6 +30,7 @@ from deeptrees.learn import (
     depth_leaf_counts,
     predict,
     train_cascade,
+    train_cascade_forest,
     train_forest,
     train_forest_grown,
     train_label_cascades,
@@ -298,13 +299,13 @@ def test_cascade_first_layer_injection():
     cfg = TrainConfig(max_depth=3, cascade_depth=2)
     plain = train_cascade(X, y, cfg)
     tree = train_tree(X, y, TrainConfig(max_depth=3, bootstrap=False, feature_subsample="all"))
-    injected = train_cascade(X, y, cfg, first_layer=tree)
+    injected = train_label_cascades(X, y, cfg, [3], first_layer=tree)[0]
     assert plain == injected
     # a first layer whose labels are no training labels reaches layer 2 as is
     foreign = Node(1, 0.5, Leaf(300), Leaf(-7))
     column = evaluate_batch(foreign, X).astype(np.float64)
     second = train_tree(np.column_stack((X, column)), y, TrainConfig(max_depth=3, bootstrap=False))
-    assert train_cascade(X, y, cfg, first_layer=foreign).layers == (foreign, second)
+    assert train_label_cascades(X, y, cfg, [3], first_layer=foreign)[0].layers == (foreign, second)
 
 
 def test_classvector_cascade_multiclass():
@@ -312,23 +313,14 @@ def test_classvector_cascade_multiclass():
     centers = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
     X = np.concatenate([rng.normal(c, 0.3, size=(60, 2)) for c in centers])
     y = np.repeat([0, 1, 2], 60)
-    cfg = TrainConfig(
-        max_depth=4, cascade_depth=2, augment_mode="classvector", n_trees=5, seed=2
-    )
-    cascade = train_cascade(X, y, cfg)
+    cfg = TrainConfig(max_depth=4, cascade_depth=2, n_trees=5, seed=2)
+    cascade = train_cascade_forest(X, y, cfg)
     assert isinstance(cascade, CascadeForest)
     assert cascade.classes == (0, 1, 2)
     assert accuracy(cascade, X, y) > 0.95
     # layer 2 may reference the three vote-fraction columns
     widths = [max_feature(t) for t in cascade.layers[1].trees]
     assert max(widths) <= 2 + 3
-
-
-def test_classvector_rejects_injection():
-    X, y = random_data(31)
-    cfg = TrainConfig(cascade_depth=2, augment_mode="classvector")
-    with pytest.raises(ValueError):
-        train_cascade(X, y, cfg, first_layer=Leaf(1))
 
 
 def test_product_root_split_matches_exact_argmax():
@@ -408,8 +400,6 @@ def test_config_validation():
         TrainConfig(cascade_depth=0)
     with pytest.raises(ValueError):
         TrainConfig(feature_subsample="half")
-    with pytest.raises(ValueError):
-        TrainConfig(augment_mode="prob")
 
 
 def test_alternating_labels_grow_a_chain_of_any_depth():
@@ -502,9 +492,7 @@ def test_trained_thresholds_are_python_floats():
         train_tree(X, y, TrainConfig(max_leaves=6, bootstrap=False)),
         train_forest(X, y, TrainConfig(max_depth=4, n_trees=5, seed=2, feature_subsample="sqrt")),
         train_cascade(X, y, TrainConfig(max_depth=3, cascade_depth=3, seed=4)),
-        train_cascade(
-            X, y, TrainConfig(max_depth=3, n_trees=3, cascade_depth=2, augment_mode="classvector")
-        ),
+        train_cascade_forest(X, y, TrainConfig(max_depth=3, n_trees=3, cascade_depth=2)),
     ]
     for model in models:
         nodes = [node for tree in model_trees(model) for node, _ in walk(tree) if isinstance(node, Node)]
@@ -525,7 +513,7 @@ def test_training_rejects_non_finite_features(value):
         lambda: train_tree_grown(X, y, PLAIN),
         lambda: train_forest(X, y, TrainConfig(n_trees=3)),
         lambda: train_cascade(X, y, TrainConfig(cascade_depth=2)),
-        lambda: train_cascade(X, y, TrainConfig(n_trees=2, cascade_depth=2, augment_mode="classvector")),
+        lambda: train_cascade_forest(X, y, TrainConfig(n_trees=2, cascade_depth=2)),
     )
     for train in trainers:
         with pytest.raises(NonFiniteFeature) as caught:
@@ -548,7 +536,7 @@ def test_training_rejects_non_integral_labels(value):
         lambda: train_forest(X, y, TrainConfig(n_trees=3)),
         lambda: train_forest_grown(X, y, TrainConfig(n_trees=3)),
         lambda: train_cascade(X, y, TrainConfig(cascade_depth=2)),
-        lambda: train_cascade(X, y, TrainConfig(n_trees=2, cascade_depth=2, augment_mode="classvector")),
+        lambda: train_cascade_forest(X, y, TrainConfig(n_trees=2, cascade_depth=2)),
     )
     for train in trainers:
         with pytest.raises(NonIntegralLabel) as caught:
@@ -712,10 +700,7 @@ def grown_by_every_entry_point(X, y, seed):
             X, y, TrainConfig(max_leaves=7, seed=seed, n_trees=3, feature_subsample="sqrt")
         ),
         train_cascade(X, y, TrainConfig(max_depth=6, seed=seed, cascade_depth=3)),
-        train_cascade(
-            X, y,
-            TrainConfig(max_depth=3, seed=seed, n_trees=3, cascade_depth=2, augment_mode="classvector"),
-        ),
+        train_cascade_forest(X, y, TrainConfig(max_depth=3, seed=seed, n_trees=3, cascade_depth=2)),
     ]
     return [tree for model in models for tree in model_trees(model)]
 

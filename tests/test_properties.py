@@ -15,6 +15,7 @@ from deeptrees.errors import FeatureOutOfRange  # noqa: E402
 from deeptrees.learn import (  # noqa: E402
     TrainConfig,
     train_cascade,
+    train_cascade_forest,
     train_forest_grown,
     train_label_cascades,
     train_tree,
@@ -179,6 +180,32 @@ def test_layer_prediction_prefixes_equal_retrained_cascades(seed, rows, classes,
             retrained = train_cascade(X, y, TrainConfig(max_depth=max_depth, cascade_depth=k))
             assert retrained.layers == cascade.layers[:k]
             assert np.array_equal(labels, retrained.predict_batch(rows_in))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(2, 80),
+    classes=st.sampled_from(((-1, 1), (0, 1, 2))),
+    budget=st.sampled_from(({"max_depth": None}, {"max_depth": 2}, {"max_leaves": 4})),
+    n_trees=st.integers(1, 3),
+    feature_subsample=st.sampled_from(("all", "sqrt")),
+    depth=st.integers(2, 3),
+)
+def test_cascade_forest_prefixes_equal_shallower_cascades(
+    seed, rows, classes, budget, n_trees, feature_subsample, depth
+):
+    rng = generator(seed, "cascade-forest-prefix-property")
+    X = np.floor(rng.random((rows, 2)) * 4)
+    y = np.array(classes)[rng.integers(0, len(classes), rows)]
+    cfg = TrainConfig(
+        seed=seed, n_trees=n_trees, feature_subsample=feature_subsample, cascade_depth=depth, **budget
+    )
+    cascade = train_cascade_forest(X, y, cfg)
+    for k in range(1, depth):
+        shallower = train_cascade_forest(X, y, replace(cfg, cascade_depth=k))
+        assert shallower.layers == cascade.layers[:k]
+        assert shallower.classes == cascade.classes
 
 
 def assert_scores_every_budget(grown, X, max_depth):

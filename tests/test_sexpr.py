@@ -5,7 +5,7 @@ from deeptrees.construct import build_parity_deeptree, compile_to_deeptree
 from deeptrees.ensemble import CascadeForest, DeepTree, Forest
 from deeptrees.errors import ArityError, LabelDomainError, ModelSyntaxError
 from deeptrees.lattice import LatticeSpace
-from deeptrees.learn import TrainConfig, train_cascade, train_forest, train_tree
+from deeptrees.learn import TrainConfig, train_cascade, train_cascade_forest, train_forest, train_tree
 from deeptrees.rng import generator
 from deeptrees.sexpr import parse_model, print_model
 from deeptrees.tree import Leaf, Node, evaluate_batch
@@ -70,9 +70,7 @@ def test_roundtrip_trained_models():
         train_tree(X, y, TrainConfig(max_leaves=6, seed=1)),
         train_forest(X, y, TrainConfig(max_depth=4, seed=2, n_trees=6, feature_subsample="sqrt")),
         train_cascade(X, y, TrainConfig(max_depth=3, seed=2, cascade_depth=3)),
-        train_cascade(
-            X, y, TrainConfig(max_depth=2, seed=2, n_trees=4, cascade_depth=2, augment_mode="classvector")
-        ),
+        train_cascade_forest(X, y, TrainConfig(max_depth=2, seed=2, n_trees=4, cascade_depth=2)),
     ):
         assert_round_trip(model)
 
